@@ -8,16 +8,17 @@
 // scalar/batched parity the tests pin down.
 #include "ml/activation.h"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define RAFIKI_X86_DISPATCH 1
+#include "ml/kernels.h"
+
+#if RAFIKI_X86_DISPATCH
 #include <immintrin.h>
-#else
-#define RAFIKI_X86_DISPATCH 0
 #endif
 
 namespace rafiki::ml {
 namespace {
 namespace d = activation_detail;
+using kernels::detect_isa;
+using kernels::Isa;
 
 // One source of truth for the affine loop; the ISA wrappers below inline it
 // and let the auto-vectorizer emit wider code for the unit-stride batch
@@ -137,15 +138,6 @@ void affine_block_avx512(const double* in_t, std::size_t n, std::size_t in_dim,
   affine_body(in_t, n, in_dim, w, bias, out_t, out_dim);
 }
 
-enum class Isa { kScalar, kAvx2, kAvx512 };
-
-Isa detect_isa() {
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  return Isa::kScalar;
-}
-
 #endif  // RAFIKI_X86_DISPATCH
 
 }  // namespace
@@ -181,5 +173,41 @@ void layer_affine_block(const double* in_t, std::size_t n, std::size_t in_dim,
 #endif
   affine_body(in_t, n, in_dim, w, bias, out_t, out_dim);
 }
+
+namespace kernels {
+
+void fast_tanh_block_isa(Isa isa, double* values, std::size_t n) noexcept {
+#if RAFIKI_X86_DISPATCH
+  if (isa == Isa::kAvx512) {
+    tanh_block_avx512(values, n);
+    return;
+  }
+  if (isa == Isa::kAvx2) {
+    tanh_block_avx2(values, n);
+    return;
+  }
+#endif
+  (void)isa;
+  for (std::size_t i = 0; i < n; ++i) values[i] = fast_tanh(values[i]);
+}
+
+void layer_affine_block_isa(Isa isa, const double* in_t, std::size_t n, std::size_t in_dim,
+                            const double* w, const double* bias, double* out_t,
+                            std::size_t out_dim) noexcept {
+#if RAFIKI_X86_DISPATCH
+  if (isa == Isa::kAvx512) {
+    affine_block_avx512(in_t, n, in_dim, w, bias, out_t, out_dim);
+    return;
+  }
+  if (isa == Isa::kAvx2) {
+    affine_block_avx2(in_t, n, in_dim, w, bias, out_t, out_dim);
+    return;
+  }
+#endif
+  (void)isa;
+  affine_body(in_t, n, in_dim, w, bias, out_t, out_dim);
+}
+
+}  // namespace kernels
 
 }  // namespace rafiki::ml

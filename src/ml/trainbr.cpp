@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
+#include "ml/kernels.h"
 #include "ml/matrix.h"
 
 namespace rafiki::ml {
@@ -31,22 +33,53 @@ TrainResult train_lm_bayes(Mlp& net, const std::vector<std::vector<double>>& X,
   Matrix jac(n, p);
   std::vector<double> errors(n);
 
+  // Trial points run through the batched forward pass, which is bit-identical
+  // to forward() row by row (tests/ml_batch_test.cpp), on inputs packed once.
+  Matrix inputs(n, net.input_size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (X[i].size() != net.input_size()) {
+      throw std::invalid_argument("train_lm_bayes: input size");
+    }
+    std::copy(X[i].begin(), X[i].end(), inputs.row(i).begin());
+  }
+  std::vector<double> outputs(n);
+  Mlp::BatchScratch batch;
+
+  // p x p workspaces, reused by every epoch: J^T J of the current Jacobian
+  // (computed once per Jacobian, shared by the LM step and the evidence
+  // update), the matrix being factored, and its Cholesky factor.
+  std::vector<double> jtj(p * p);
+  std::vector<double> system(p * p);
+  std::vector<double> lower(p * p);
+  std::vector<double> scratch;
+  std::vector<double> solve_tmp(p);
+  std::vector<double> step(p);
+  std::vector<double> trial(p);
+
   auto evaluate = [&](std::span<const double> w, bool with_jacobian) {
     net.set_params(w);
-    double ed = 0.0;
-    std::vector<double> grad_row(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      double out;
-      if (with_jacobian) {
-        out = net.forward_with_gradient(X[i], grad_row);
-        std::copy(grad_row.begin(), grad_row.end(), jac.row(i).begin());
-      } else {
-        out = net.forward(X[i]);
+    if (with_jacobian) {
+      for (std::size_t i = 0; i < n; ++i) {
+        outputs[i] = net.forward_with_gradient(X[i], jac.row(i));
       }
-      errors[i] = y[i] - out;
+      kernels::gram(jac.data().data(), n, p, jtj.data());
+    } else {
+      net.forward_batch(inputs, outputs, batch);
+    }
+    double ed = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      errors[i] = y[i] - outputs[i];
       ed += errors[i] * errors[i];
     }
     return ed;
+  };
+  // system = beta * J^T J + shift * I, the lower triangle being all the
+  // Cholesky factorization reads.
+  auto build_system = [&](double shift) {
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) system[i * p + j] = jtj[i * p + j] * beta;
+      system[i * p + i] += shift;
+    }
   };
 
   double ed = evaluate(params, true);
@@ -56,8 +89,6 @@ TrainResult train_lm_bayes(Mlp& net, const std::vector<std::vector<double>>& X,
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
     ++result.epochs;
     // Gauss-Newton system: (beta J^T J + (alpha + mu) I) dw = beta J^T e - alpha w
-    Matrix hessian = jac.gram();
-    for (auto& v : hessian.data()) v *= beta;
     auto gradient = jac.transpose_times(errors);
     double grad_norm = 0.0;
     for (std::size_t j = 0; j < p; ++j) {
@@ -71,17 +102,16 @@ TrainResult train_lm_bayes(Mlp& net, const std::vector<std::vector<double>>& X,
 
     bool stepped = false;
     while (mu <= options.mu_max) {
-      Matrix damped = hessian;
-      damped.add_diagonal(alpha + mu);
-      auto step = damped.solve_spd(gradient);
-      if (!step.empty()) {
-        std::vector<double> trial = params;
-        for (std::size_t j = 0; j < p; ++j) trial[j] += step[j];
+      build_system(alpha + mu);
+      if (kernels::cholesky(system.data(), p, lower.data(), scratch) == p) {
+        kernels::cholesky_solve(lower.data(), p, gradient.data(), solve_tmp.data(),
+                                step.data());
+        for (std::size_t j = 0; j < p; ++j) trial[j] = params[j] + step[j];
         const double trial_ed = evaluate(trial, false);
         const double trial_ew = sum_squares(trial);
         const double trial_obj = beta * trial_ed + alpha * trial_ew;
         if (trial_obj < objective && std::isfinite(trial_obj)) {
-          params = std::move(trial);
+          params.swap(trial);
           ed = trial_ed;
           ew = trial_ew;
           objective = trial_obj;
@@ -97,19 +127,21 @@ TrainResult train_lm_bayes(Mlp& net, const std::vector<std::vector<double>>& X,
       break;
     }
 
-    // Refresh the Jacobian at the accepted point.
+    // Refresh the Jacobian (and J^T J) at the accepted point.
     ed = evaluate(params, true);
 
+    // Evidence updates run on epochs 1, 1 + k, 1 + 2k, ... (every epoch for
+    // k = 0 or 1).
+    const std::size_t interval = std::max<std::size_t>(1, options.bayes_update_interval);
     const bool update_hyper =
-        options.bayesian_regularization &&
-        (options.bayes_update_interval == 0 ||
-         result.epochs % std::max<std::size_t>(1, options.bayes_update_interval) == 1);
+        options.bayesian_regularization && (result.epochs - 1) % interval == 0;
     if (update_hyper) {
       // MacKay evidence update of alpha/beta via the effective parameters.
-      Matrix reg = jac.gram();
-      for (auto& v : reg.data()) v *= beta;
-      reg.add_diagonal(alpha);
-      const double trace_inv = reg.trace_inverse_spd();
+      build_system(alpha);
+      const double trace_inv =
+          kernels::cholesky(system.data(), p, lower.data(), scratch) == p
+              ? kernels::cholesky_trace_inverse(lower.data(), p, scratch)
+              : -1.0;
       if (trace_inv >= 0.0) {
         double gamma = static_cast<double>(p) - alpha * trace_inv;
         gamma = std::clamp(gamma, 1.0, static_cast<double>(p));

@@ -29,10 +29,10 @@ struct TrainOptions {
   double min_gradient = 1e-7;
   /// Disable to get plain Levenberg-Marquardt (fixed alpha = 0).
   bool bayesian_regularization = true;
-  /// Re-estimate alpha/beta every k-th accepted step. The evidence update
-  /// needs an O(P^3) trace of an inverse; hyperparameters drift slowly, so
-  /// updating every few steps costs accuracy nothing and saves ~40% of
-  /// training time.
+  /// Re-estimate alpha/beta every k-th accepted step (after steps 1, 1 + k,
+  /// 1 + 2k, ...; 0 and 1 both mean every step). The evidence update needs an
+  /// O(P^3) trace of an inverse; hyperparameters drift slowly, so updating
+  /// every few steps costs accuracy nothing and saves ~40% of training time.
   std::size_t bayes_update_interval = 3;
 };
 

@@ -41,12 +41,18 @@ TEST(TrainExtra, UpdateIntervalDoesNotChangeQualityMaterially) {
     net.randomize(rng);
     ml::TrainOptions options;
     options.bayes_update_interval = interval;
-    return ml::train_lm_bayes(net, X, y, options).mse;
+    return ml::train_lm_bayes(net, X, y, options);
   };
   // Both cadences must fit the surface well in absolute terms; their exact
   // MSEs differ because the alpha/beta trajectory changes the optimum.
-  EXPECT_LT(fit_with_interval(1), 1e-2);
-  EXPECT_LT(fit_with_interval(3), 1e-2);
+  const auto every_step = fit_with_interval(1);
+  const auto every_third = fit_with_interval(3);
+  EXPECT_LT(every_step.mse, 1e-2);
+  EXPECT_LT(every_third.mse, 1e-2);
+  // Interval 1 means "re-estimate after every step", so the evidence update
+  // must have run: gamma stays 0 only if alpha/beta were never re-estimated.
+  EXPECT_GT(every_step.gamma, 0.0);
+  EXPECT_GT(every_third.gamma, 0.0);
 }
 
 TEST(TrainExtra, EmptyTrainingSetIsRejectedGracefully) {

@@ -1,6 +1,7 @@
 #include "ml/trainbr.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,6 +95,40 @@ TEST(TrainBr, RespectsEpochBudget) {
   options.max_epochs = 3;
   const auto result = train_lm_bayes(net, X, y, options);
   EXPECT_LE(result.epochs, 3u);
+}
+
+TEST(TrainBr, FitReproducesTheRecordedBits) {
+  // The fit's kernels may change how fast it runs, never what it computes:
+  // the surrogate's topology (P = 163, no tile or lane multiple) trained on a
+  // fixed synthetic set must give these exact weights and diagnostics. The
+  // data use only + - * (no libm), so the bits are the same on every IEEE-754
+  // host.
+  Rng rng(2017);
+  std::vector<std::vector<double>> X(120, std::vector<double>(6));
+  std::vector<double> y(X.size());
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    for (auto& v : X[i]) v = rng.uniform(-1.0, 1.0);
+    const auto& x = X[i];
+    y[i] = 0.6 * x[0] * x[1] - 0.4 * x[2] + 0.3 * x[3] * x[3] - 0.2 * x[4] * x[5] +
+           0.05 * rng.uniform(-1.0, 1.0);
+  }
+  Mlp net({6, 14, 4, 1});
+  net.randomize(rng);
+  TrainOptions options;
+  options.max_epochs = 20;
+  const auto result = train_lm_bayes(net, X, y, options);
+
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over the raw bytes
+  const auto mix = [&](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) hash = (hash ^ p[i]) * 0x100000001b3ull;
+  };
+  mix(net.params().data(), net.params().size() * sizeof(double));
+  for (const double v : {result.mse, result.alpha, result.beta, result.gamma}) {
+    mix(&v, sizeof v);
+  }
+  EXPECT_EQ(result.epochs, 20u);
+  EXPECT_EQ(hash, 0x34faea6607a551c2ull);
 }
 
 TEST(SurrogateEnsemble, PrunesWorstThirtyPercent) {

@@ -23,6 +23,10 @@ Rules (ids used in findings and det:ok() suppressions):
   wire-memcpy     memcpy in src/net/ — the wire codec serializes byte-wise
                   with explicit little-endian helpers; struct layout is not
                   the wire format (path-scoped rule)
+  fp-contract     a file under src/ that uses __attribute__((target(...)))
+                  but is not listed with -ffp-contract=off in its directory's
+                  CMakeLists.txt — a wider ISA can bring FMA, and a contracted
+                  multiply-add breaks bit parity with the scalar path
 
 Concurrency-contract rules (same suppression syntax):
   memory-order    atomic load/store/RMW without an explicit std::memory_order
@@ -102,6 +106,32 @@ PATH_PATTERN_RULES = {
         "memcpy of in-memory values bakes host layout into the wire format",
     ),
 }
+
+# --- fp-contract rule --------------------------------------------------------
+# A function compiled for a wider ISA via __attribute__((target(...))) may be
+# handed FMA (GCC's avx512f target implies it), and a multiply-add contracted
+# into one FMA rounds once where the scalar code rounds twice, so the SIMD
+# variant silently stops matching the scalar one. Every such file under src/
+# must be built with -ffp-contract=off, named in a set_source_files_properties
+# call of its directory's CMakeLists.txt.
+TARGET_ATTR_RE = re.compile(r"__attribute__\s*\(\s*\(\s*target\s*\(")
+SOURCE_PROPERTIES_RE = re.compile(r"set_source_files_properties\s*\((?P<args>[^)]*)\)")
+CMAKE_COMMENT_RE = re.compile(r"#.*$", re.M)
+
+
+def fp_contract_off_sources(cmake: Path) -> set[str]:
+    """Source names that `cmake` builds with -ffp-contract=off."""
+    try:
+        text = CMAKE_COMMENT_RE.sub("", cmake.read_text(errors="replace"))
+    except OSError:
+        return set()
+    names: set[str] = set()
+    for m in SOURCE_PROPERTIES_RE.finditer(text):
+        args = m.group("args")
+        if "-ffp-contract=off" in args:
+            names.update(args.split("PROPERTIES")[0].split())
+    return names
+
 
 # --- memory-order rule ------------------------------------------------------
 # Member calls on std::atomic that take an optional std::memory_order. Bare
@@ -197,6 +227,8 @@ def scan_file(path: Path, rel: Path) -> list[tuple[Path, int, str, str]]:
     # Comment/string-stripped view of every line, for multi-line arg gathering.
     code_lines = [strip_strings(LINE_COMMENT_RE.sub("", line)) for line in lines]
     memory_order_scoped = rel.as_posix().startswith(MEMORY_ORDER_PREFIXES)
+    # Checked once per file, at its first target attribute.
+    fp_contract_pending = rel.as_posix().startswith("src/")
 
     for idx, raw in enumerate(lines):
         code = strip_strings(LINE_COMMENT_RE.sub("", raw))
@@ -213,6 +245,21 @@ def scan_file(path: Path, rel: Path) -> list[tuple[Path, int, str, str]]:
                 and pattern.search(code)
             ):
                 findings.append((rel, idx + 1, rule, message))
+        if fp_contract_pending and "fp-contract" not in allowed and TARGET_ATTR_RE.search(code):
+            fp_contract_pending = False
+            cmake = path.parent / "CMakeLists.txt"
+            if path.name not in fp_contract_off_sources(cmake):
+                findings.append(
+                    (
+                        rel,
+                        idx + 1,
+                        "fp-contract",
+                        f"__attribute__((target(...))) without -ffp-contract=off: list "
+                        f"{path.name} with -ffp-contract=off in "
+                        f"{rel.parent.as_posix()}/CMakeLists.txt (a contracted FMA "
+                        "breaks bit parity with the scalar path)",
+                    )
+                )
         if memory_order_scoped and "memory-order" not in allowed:
             for m in ATOMIC_CALL_RE.finditer(code):
                 args = gather_call_args(code_lines, idx, m.end())
@@ -405,10 +452,34 @@ struct Waker {
 };
 """
 
+SELFTEST_SIMD = """\
+#include <cstddef>
+__attribute__((target("avx512f")))
+void axpy(double* y, const double* x, double a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];  // contractible
+}
+"""
+
+# The SIMD file is listed, but only at -O3 (and a commented-out line with the
+# flag must not count).
+SELFTEST_SIMD_CMAKE_BAD = """\
+add_library(simd simd.cpp plain.cpp)
+# set_source_files_properties(simd.cpp PROPERTIES COMPILE_OPTIONS "-ffp-contract=off")
+set_source_files_properties(simd.cpp plain.cpp
+  PROPERTIES COMPILE_OPTIONS "-O3")
+"""
+
+SELFTEST_SIMD_CMAKE_CLEAN = """\
+add_library(simd simd.cpp plain.cpp)
+set_source_files_properties(plain.cpp simd.cpp
+  PROPERTIES COMPILE_OPTIONS "-O3;-ffp-contract=off")
+"""
+
 
 def selftest() -> int:
     expected = {"c-rand", "random-device", "mt19937", "wall-clock", "thread-id",
-                "unordered-iter", "wire-memcpy", "memory-order", "tsa-justification"}
+                "unordered-iter", "wire-memcpy", "memory-order", "tsa-justification",
+                "fp-contract"}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "src" / "net").mkdir(parents=True)
@@ -426,6 +497,11 @@ def selftest() -> int:
         # The identical atomic calls outside src/serve+src/net must not fire;
         # NO_THREAD_SAFETY_ANALYSIS is checked everywhere (one more expected).
         (root / "src" / "outside.cpp").write_text(SELFTEST_SERVE_BAD)
+        # A target-attributed file whose directory builds it without
+        # -ffp-contract=off must fire fp-contract.
+        (root / "src" / "simd").mkdir()
+        (root / "src" / "simd" / "simd.cpp").write_text(SELFTEST_SIMD)
+        (root / "src" / "simd" / "CMakeLists.txt").write_text(SELFTEST_SIMD_CMAKE_BAD)
         bad_findings = scan_tree(root)
         fired = {rule for (_, _, rule, _) in bad_findings}
         missing = expected - fired
@@ -457,6 +533,7 @@ def selftest() -> int:
         (root / "src" / "serve" / "hot.cpp").write_text(SELFTEST_SERVE_CLEAN)
         (root / "src" / "tune" / "screen.cpp").write_text(SELFTEST_SERVE_CLEAN)
         (root / "src" / "outside.cpp").unlink()
+        (root / "src" / "simd" / "CMakeLists.txt").write_text(SELFTEST_SIMD_CMAKE_CLEAN)
         clean_findings = scan_tree(root)
         if clean_findings:
             for rel, lineno, rule, _ in clean_findings:

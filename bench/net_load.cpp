@@ -18,8 +18,8 @@
 //
 // Results go to stdout (ASCII tables) and BENCH_net.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--shards N`
-// runs every phase against the ShardedTuningService router instead of a
-// single service (same gates — the wire contract is backend-agnostic);
+// runs every phase against an N-shard service (same gates — the wire
+// contract does not depend on the shard count);
 // `--io-backend poll|epoll` pins the server's event loop (default: the
 // platform's preferred backend) so CI can prove the poll() fallback carries
 // the same contract as edge-triggered epoll.
@@ -38,7 +38,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/service.h"
-#include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "util/histogram.h"
 
@@ -81,16 +80,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// One service or an N-shard router behind the same TuningBackend surface.
-std::unique_ptr<serve::TuningBackend> make_backend(std::size_t shards,
+/// An N-shard service (the derived worker budget) built from `options`.
+std::unique_ptr<serve::TuningService> make_backend(std::size_t shards,
                                                    const serve::ServiceOptions& options) {
-  if (shards > 1) {
-    serve::ShardOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.service = options;
-    return std::make_unique<serve::ShardedTuningService>(shard_options);
-  }
-  return std::make_unique<serve::TuningService>(options);
+  serve::ShardOptions shard_options;
+  shard_options.shards = shards;
+  shard_options.service = options;
+  return std::make_unique<serve::TuningService>(shard_options);
 }
 
 /// One closed-loop client: `calls` pipelined bursts of depth `pipeline`,

@@ -7,8 +7,8 @@
 //      bit-identical results).
 //   B. Service load — concurrent closed-loop clients against the serving
 //      backend across a {clients} x {max_batch} grid: QPS, p50/p99 latency
-//      and the realized micro-batch size. `--shards N` runs the grid through
-//      the ShardedTuningService router instead of a single service.
+//      and the realized micro-batch size. `--shards N` splits the service
+//      into N routed shards.
 //   C. Snapshot swap under load — republish fresh model versions while
 //      clients hammer Predict; the bar is zero failed or blocked requests.
 //   D. Regime changes in the closed loop — clients mix ObserveWindow calls
@@ -24,16 +24,16 @@
 //      zero client threads; max_batch = 1) against shards in {1, 2, 4, 8}
 //      after an untimed route warm-up, with per-shard request / worker-CPU /
 //      queue-depth accounting, plus a bit-parity sweep proving the sharded
-//      router returns exactly the unsharded (and scalar) predictions. The
+//      service returns exactly the unsharded (and scalar) predictions. The
 //      bar (on >= 8 hardware threads): no shard count below 0.9x unsharded
 //      64-client QPS, and — full profile — 4 shards >= 3x unsharded.
 //   F. Rebalance under fire — hot bands pinned to one shard, clients
-//      hammering them while the router migrates the hottest band away; the
+//      hammering them while the service migrates the hottest band away; the
 //      bar is zero failed or lost requests and at least one migration.
 //
 // Results go to stdout (ASCII tables) and BENCH_serve.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--shards N`
-// routes phases B-D through an N-shard router.
+// runs phases B-D on an N-shard service.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,7 +49,6 @@
 #include "core/online.h"
 #include "engine/params.h"
 #include "serve/service.h"
-#include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "util/rng.h"
 
@@ -151,23 +150,13 @@ std::vector<engine::Config> random_configs(std::size_t n, Rng& rng) {
   return configs;
 }
 
-/// One service or an N-shard router behind the same TuningBackend surface.
-std::unique_ptr<serve::TuningBackend> make_backend(std::size_t shards,
+/// An N-shard service (the derived worker budget) built from `options`.
+std::unique_ptr<serve::TuningService> make_backend(std::size_t shards,
                                                    const serve::ServiceOptions& options) {
-  if (shards > 1) {
-    serve::ShardOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.service = options;
-    return std::make_unique<serve::ShardedTuningService>(shard_options);
-  }
-  return std::make_unique<serve::TuningService>(options);
-}
-
-std::uint64_t backend_spills(const serve::TuningBackend& backend) {
-  if (const auto* sharded = dynamic_cast<const serve::ShardedTuningService*>(&backend)) {
-    return sharded->spills();
-  }
-  return 0;
+  serve::ShardOptions shard_options;
+  shard_options.shards = shards;
+  shard_options.service = options;
+  return std::make_unique<serve::TuningService>(shard_options);
 }
 
 MicroResult micro_bench(const core::Rafiki& rafiki, std::size_t batch, std::size_t rows,
@@ -262,7 +251,7 @@ LoadResult load_bench(const core::Rafiki& rafiki, std::size_t shards, std::size_
   result.p50_us = service->endpoint_latency_quantile(serve::Endpoint::kPredict, 0.5);
   result.p99_us = service->endpoint_latency_quantile(serve::Endpoint::kPredict, 0.99);
   result.mean_batch = service->mean_batch_size();
-  result.spills = backend_spills(*service);
+  result.spills = service->spills();
   return result;
 }
 
@@ -367,7 +356,7 @@ RegimeResult regime_bench(const core::Rafiki& rafiki, std::size_t shards,
 
 ParityResult parity_bench(const core::Rafiki& rafiki, std::size_t shards,
                           std::size_t requests) {
-  // Same request stream through the sharded router (batched), an unsharded
+  // Same request stream through the sharded service (batched), an unsharded
   // service (batched), and the scalar predict path — all three must agree to
   // the last bit for sharding to be a pure routing optimization.
   Rng rng(20170711);
@@ -414,12 +403,12 @@ RebalanceResult rebalance_bench(const core::Rafiki& rafiki, std::size_t clients,
   options.service.workers = 1;
   options.service.max_batch = 8;
   options.service.queue_capacity = 4096;
-  serve::ShardedTuningService service(options);
+  serve::TuningService service(options);
   service.publish(serve::make_snapshot(rafiki));
   service.start();
 
   // Skew the initial placement: both hot bands (rr 0.20 and 0.80) on shard
-  // 0, so the router has something to migrate.
+  // 0, so the service has something to migrate.
   service.route_band(20, 0);
   service.route_band(80, 0);
 
@@ -491,7 +480,7 @@ void run_chain(const std::shared_ptr<ClosedLoop>& loop) {
     }
     serve::Request request;
     request.endpoint = serve::Endpoint::kPredict;
-    // Cycle the full band space so the router actually spreads the stream
+    // Cycle the full band space so the routing actually spreads the stream
     // over every shard (and the unsharded run sees the identical mix).
     request.read_ratio = 0.01 * static_cast<double>(ticket % 101);
     serve::Status admitted = loop->service->try_submit(
@@ -529,24 +518,18 @@ double closed_loop_qps(serve::TuningBackend& service, std::size_t concurrency,
 }
 
 /// Per-shard accounting, read after stop() (worker CPU time is exact only
-/// post-join). The unsharded service reports itself as one shard.
-std::vector<ShardMetrics> collect_shard_metrics(const serve::TuningBackend& backend) {
-  const auto of_service = [](const serve::TuningService& service) {
-    ShardMetrics m;
-    m.requests = service.stats().counters(serve::Endpoint::kPredict).completed;
-    m.workers = service.worker_count();
-    m.cpu_s = static_cast<double>(service.worker_cpu_us()) / 1e6;
-    m.mean_queue_depth = service.stats().mean_queue_depth();
-    m.max_queue_depth = service.stats().max_queue_depth();
-    return m;
-  };
+/// post-join).
+std::vector<ShardMetrics> collect_shard_metrics(const serve::TuningService& service) {
   std::vector<ShardMetrics> out;
-  if (const auto* sharded = dynamic_cast<const serve::ShardedTuningService*>(&backend)) {
-    for (std::size_t i = 0; i < sharded->shard_count(); ++i) {
-      out.push_back(of_service(sharded->shard(i)));
-    }
-  } else if (const auto* single = dynamic_cast<const serve::TuningService*>(&backend)) {
-    out.push_back(of_service(*single));
+  for (std::size_t i = 0; i < service.shard_count(); ++i) {
+    const auto& shard = service.shard(i);
+    ShardMetrics m;
+    m.requests = shard.stats().counters(serve::Endpoint::kPredict).completed;
+    m.workers = shard.worker_count();
+    m.cpu_s = static_cast<double>(shard.worker_cpu_us()) / 1e6;
+    m.mean_queue_depth = shard.stats().mean_queue_depth();
+    m.max_queue_depth = shard.stats().max_queue_depth();
+    out.push_back(m);
   }
   return out;
 }
@@ -564,13 +547,7 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
 
   ScalingResult result;
   result.shards = n_shards;
-  if (const auto* sharded =
-          dynamic_cast<const serve::ShardedTuningService*>(service.get())) {
-    result.workers = sharded->resolved_worker_budget();
-  } else if (const auto* single =
-                 dynamic_cast<const serve::TuningService*>(service.get())) {
-    result.workers = single->worker_count();
-  }
+  result.workers = service->resolved_worker_budget();
 
   // Route warm-up: one untimed request per band primes every shard's worker
   // pool, queue, snapshot deref, and stats stripes. The 1-client row used to
@@ -586,7 +563,7 @@ ScalingResult scaling_bench(const core::Rafiki& rafiki, std::size_t n_shards,
   result.clients1_qps = closed_loop_qps(*service, 1, calls1, result.failed);
   result.clients64_qps = closed_loop_qps(*service, 64, total64, result.failed);
   result.clients256_qps = closed_loop_qps(*service, 256, total256, result.failed);
-  result.spills = backend_spills(*service);
+  result.spills = service->spills();
   service->stop();
   result.per_shard = collect_shard_metrics(*service);
   return result;

@@ -57,8 +57,10 @@ void tanh_block_avx2(double* values, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d t = _mm256_mul_pd(_mm256_loadu_pd(values + i), _mm256_set1_pd(2.0));
-    t = _mm256_min_pd(t, clamp_hi);
-    t = _mm256_max_pd(t, clamp_lo);
+    // Bound first: MIN/MAX return the second operand when either is NaN, so
+    // a NaN input stays NaN, as in the scalar ternaries.
+    t = _mm256_min_pd(clamp_hi, t);
+    t = _mm256_max_pd(clamp_lo, t);
     __m256d nd = _mm256_add_pd(_mm256_mul_pd(t, log2e), magic);
     const __m256i n64 = _mm256_sub_epi64(_mm256_castpd_si256(nd), magic_bits);
     nd = _mm256_sub_pd(nd, magic);
@@ -100,8 +102,8 @@ void tanh_block_avx512(double* values, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512d t = _mm512_mul_pd(_mm512_loadu_pd(values + i), _mm512_set1_pd(2.0));
-    t = _mm512_min_pd(t, clamp_hi);
-    t = _mm512_max_pd(t, clamp_lo);
+    t = _mm512_min_pd(clamp_hi, t);
+    t = _mm512_max_pd(clamp_lo, t);
     __m512d nd = _mm512_add_pd(_mm512_mul_pd(t, log2e), magic);
     const __m512i n64 = _mm512_sub_epi64(_mm512_castpd_si512(nd), magic_bits);
     nd = _mm512_sub_pd(nd, magic);

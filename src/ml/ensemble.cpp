@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -16,13 +17,20 @@ void SurrogateEnsemble::fit(const std::vector<std::vector<double>>& X,
   if (X.empty() || X.size() != y.size()) {
     throw std::invalid_argument("SurrogateEnsemble::fit: bad training set");
   }
-  norm_in_.fit_columns(X);
-  norm_out_.fit(y);
+  // Built aside and swapped in whole: copies of this ensemble taken before
+  // the refit keep the block they share.
+  auto fitted = std::make_shared<Fitted>();
+  Normalizer& norm_in = fitted->norm_in;
+  Normalizer& norm_out = fitted->norm_out;
+  std::vector<Mlp>& nets = fitted->nets;
+  std::vector<double>& errors = fitted->errors;
+  norm_in.fit_columns(X);
+  norm_out.fit(y);
 
   std::vector<std::vector<double>> Xn(X.size());
-  for (std::size_t i = 0; i < X.size(); ++i) Xn[i] = norm_in_.map_row(X[i]);
+  for (std::size_t i = 0; i < X.size(); ++i) Xn[i] = norm_in.map_row(X[i]);
   std::vector<double> yn(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) yn[i] = norm_out_.map(y[i]);
+  for (std::size_t i = 0; i < y.size(); ++i) yn[i] = norm_out.map(y[i]);
 
   std::vector<std::size_t> layers;
   layers.push_back(X.front().size());
@@ -37,8 +45,8 @@ void SurrogateEnsemble::fit(const std::vector<std::vector<double>>& X,
   net_rngs.reserve(options.n_nets);
   for (std::size_t k = 0; k < options.n_nets; ++k) net_rngs.push_back(rng.split());
 
-  nets_.assign(options.n_nets, Mlp(layers));
-  errors_.assign(options.n_nets, 0.0);
+  nets.assign(options.n_nets, Mlp(layers));
+  errors.assign(options.n_nets, 0.0);
 
   std::size_t threads =
       options.train_threads ? options.train_threads
@@ -46,9 +54,9 @@ void SurrogateEnsemble::fit(const std::vector<std::vector<double>>& X,
   threads = std::min(threads, options.n_nets);
 
   const auto train_member = [&](std::size_t k) {
-    nets_[k].randomize(net_rngs[k]);
-    const auto result = train_lm_bayes(nets_[k], Xn, yn, options.train);
-    errors_[k] = result.mse;
+    nets[k].randomize(net_rngs[k]);
+    const auto result = train_lm_bayes(nets[k], Xn, yn, options.train);
+    errors[k] = result.mse;
   };
 
   if (threads <= 1) {
@@ -81,30 +89,38 @@ void SurrogateEnsemble::fit(const std::vector<std::vector<double>>& X,
 
   // Prune the worst-performing fraction by training error.
   const auto n_prune = static_cast<std::size_t>(
-      options.prune_fraction * static_cast<double>(nets_.size()));
-  std::vector<std::size_t> order(nets_.size());
+      options.prune_fraction * static_cast<double>(nets.size()));
+  std::vector<std::size_t> order(nets.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return errors_[a] < errors_[b]; });
-  active_.assign(nets_.size(), false);
-  for (std::size_t i = 0; i + n_prune < order.size(); ++i) active_[order[i]] = true;
+            [&](std::size_t a, std::size_t b) { return errors[a] < errors[b]; });
+  fitted->active.assign(nets.size(), false);
+  for (std::size_t i = 0; i + n_prune < order.size(); ++i) fitted->active[order[i]] = true;
+  fitted_ = std::move(fitted);
+}
+
+const SurrogateEnsemble::Fitted& SurrogateEnsemble::model() const noexcept {
+  static const Fitted unfitted;
+  return fitted_ ? *fitted_ : unfitted;
 }
 
 std::size_t SurrogateEnsemble::active_nets() const noexcept {
-  return static_cast<std::size_t>(std::count(active_.begin(), active_.end(), true));
+  const auto& active = model().active;
+  return static_cast<std::size_t>(std::count(active.begin(), active.end(), true));
 }
 
 double SurrogateEnsemble::predict(std::span<const double> x) const {
-  if (nets_.empty()) throw std::logic_error("SurrogateEnsemble::predict: not trained");
-  const auto xn = norm_in_.map_row(x);
+  const Fitted& m = model();
+  if (m.nets.empty()) throw std::logic_error("SurrogateEnsemble::predict: not trained");
+  const auto xn = m.norm_in.map_row(x);
   double sum = 0.0;
   std::size_t count = 0;
-  for (std::size_t k = 0; k < nets_.size(); ++k) {
-    if (!active_[k]) continue;
-    sum += nets_[k].forward(xn);
+  for (std::size_t k = 0; k < m.nets.size(); ++k) {
+    if (!m.active[k]) continue;
+    sum += m.nets[k].forward(xn);
     ++count;
   }
-  return norm_out_.unmap(sum / static_cast<double>(count ? count : 1));
+  return m.norm_out.unmap(sum / static_cast<double>(count ? count : 1));
 }
 
 SurrogateEnsemble::Prediction SurrogateEnsemble::predict_with_uncertainty(
@@ -114,30 +130,33 @@ SurrogateEnsemble::Prediction SurrogateEnsemble::predict_with_uncertainty(
 
 std::vector<double> SurrogateEnsemble::predict_batch(
     const std::vector<std::vector<double>>& x_rows) const {
-  if (nets_.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
+  const Fitted& m = model();
+  if (m.nets.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
+  const std::size_t features = m.norm_in.features();
   if (x_rows.empty()) return {};
-  Matrix packed(x_rows.size(), norm_in_.features());
+  Matrix packed(x_rows.size(), features);
   for (std::size_t r = 0; r < x_rows.size(); ++r) {
-    if (x_rows[r].size() != norm_in_.features()) {
+    if (x_rows[r].size() != features) {
       throw std::invalid_argument("SurrogateEnsemble::predict_batch: row size");
     }
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) packed(r, c) = x_rows[r][c];
+    for (std::size_t c = 0; c < features; ++c) packed(r, c) = x_rows[r][c];
   }
   return predict_batch(packed);
 }
 
 std::vector<double> SurrogateEnsemble::predict_batch(const Matrix& x_rows) const {
-  if (nets_.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
+  const Fitted& m = model();
+  if (m.nets.empty()) throw std::logic_error("SurrogateEnsemble::predict_batch: not trained");
   if (x_rows.rows() == 0) return {};
-  if (x_rows.cols() != norm_in_.features()) {
+  if (x_rows.cols() != m.norm_in.features()) {
     throw std::invalid_argument("SurrogateEnsemble::predict_batch: row size");
   }
   const std::size_t n = x_rows.rows();
 
-  Matrix xn(n, norm_in_.features());
+  Matrix xn(n, m.norm_in.features());
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) {
-      xn(r, c) = norm_in_.map(x_rows(r, c), c);
+    for (std::size_t c = 0; c < m.norm_in.features(); ++c) {
+      xn(r, c) = m.norm_in.map(x_rows(r, c), c);
     }
   }
 
@@ -149,50 +168,53 @@ std::vector<double> SurrogateEnsemble::predict_batch(const Matrix& x_rows) const
   std::vector<double> member(n);
   Mlp::BatchScratch scratch;
   std::size_t count = 0;
-  for (std::size_t k = 0; k < nets_.size(); ++k) {
-    if (!active_[k]) continue;
-    nets_[k].forward_batch(xn, member, scratch);
+  for (std::size_t k = 0; k < m.nets.size(); ++k) {
+    if (!m.active[k]) continue;
+    m.nets[k].forward_batch(xn, member, scratch);
     for (std::size_t r = 0; r < n; ++r) sum[r] += member[r];
     ++count;
   }
   std::vector<double> out(n);
   for (std::size_t r = 0; r < n; ++r) {
-    out[r] = norm_out_.unmap(sum[r] / static_cast<double>(count ? count : 1));
+    out[r] = m.norm_out.unmap(sum[r] / static_cast<double>(count ? count : 1));
   }
   return out;
 }
 
 std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with_uncertainty(
     const std::vector<std::vector<double>>& x_rows) const {
-  if (nets_.empty()) {
+  const Fitted& m = model();
+  if (m.nets.empty()) {
     throw std::logic_error("SurrogateEnsemble::predict_batch_with_uncertainty: not trained");
   }
+  const std::size_t features = m.norm_in.features();
   if (x_rows.empty()) return {};
-  Matrix packed(x_rows.size(), norm_in_.features());
+  Matrix packed(x_rows.size(), features);
   for (std::size_t r = 0; r < x_rows.size(); ++r) {
-    if (x_rows[r].size() != norm_in_.features()) {
+    if (x_rows[r].size() != features) {
       throw std::invalid_argument("SurrogateEnsemble::predict_batch_with_uncertainty: row size");
     }
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) packed(r, c) = x_rows[r][c];
+    for (std::size_t c = 0; c < features; ++c) packed(r, c) = x_rows[r][c];
   }
   return predict_batch_with_uncertainty(packed);
 }
 
 std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with_uncertainty(
     const Matrix& x_rows) const {
-  if (nets_.empty()) {
+  const Fitted& m = model();
+  if (m.nets.empty()) {
     throw std::logic_error("SurrogateEnsemble::predict_batch_with_uncertainty: not trained");
   }
   if (x_rows.rows() == 0) return {};
-  if (x_rows.cols() != norm_in_.features()) {
+  if (x_rows.cols() != m.norm_in.features()) {
     throw std::invalid_argument("SurrogateEnsemble::predict_batch_with_uncertainty: row size");
   }
   const std::size_t n = x_rows.rows();
 
-  Matrix xn(n, norm_in_.features());
+  Matrix xn(n, m.norm_in.features());
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < norm_in_.features(); ++c) {
-      xn(r, c) = norm_in_.map(x_rows(r, c), c);
+    for (std::size_t c = 0; c < m.norm_in.features(); ++c) {
+      xn(r, c) = m.norm_in.map(x_rows(r, c), c);
     }
   }
 
@@ -201,9 +223,9 @@ std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with
   std::vector<double> member(n);
   Mlp::BatchScratch scratch;
   std::size_t count = 0;
-  for (std::size_t k = 0; k < nets_.size(); ++k) {
-    if (!active_[k]) continue;
-    nets_[k].forward_batch(xn, member, scratch);
+  for (std::size_t k = 0; k < m.nets.size(); ++k) {
+    if (!m.active[k]) continue;
+    m.nets[k].forward_batch(xn, member, scratch);
     for (std::size_t r = 0; r < n; ++r) {
       sum[r] += member[r];
       sumsq[r] += member[r] * member[r];
@@ -215,11 +237,11 @@ std::vector<SurrogateEnsemble::Prediction> SurrogateEnsemble::predict_batch_with
   const auto denom = static_cast<double>(count ? count : 1);
   for (std::size_t r = 0; r < n; ++r) {
     const double mean_n = sum[r] / denom;
-    out[r].mean = norm_out_.unmap(mean_n);
+    out[r].mean = m.norm_out.unmap(mean_n);
     if (count > 1) {
       const double var_n =
           std::max(0.0, (sumsq[r] - sum[r] * mean_n) / static_cast<double>(count - 1));
-      out[r].stddev = norm_out_.unmap_delta(std::sqrt(var_n));
+      out[r].stddev = m.norm_out.unmap_delta(std::sqrt(var_n));
     }
   }
   return out;

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,6 +31,11 @@ struct EnsembleOptions {
   std::size_t train_threads = 0;
 };
 
+/// Copies are cheap and share one model: the fitted state (normalizers,
+/// member nets, member errors, active mask) lives in one immutable block
+/// that fit() replaces rather than mutates. A copy taken before a refit
+/// keeps predicting with the model it was copied from, so a published
+/// serving snapshot can never observe a later fit.
 class SurrogateEnsemble {
  public:
   /// Fits the ensemble on raw (unnormalized) feature rows and targets;
@@ -61,23 +67,31 @@ class SurrogateEnsemble {
   std::vector<Prediction> predict_batch_with_uncertainty(
       const std::vector<std::vector<double>>& x_rows) const;
 
-  bool trained() const noexcept { return !nets_.empty(); }
-  std::size_t total_nets() const noexcept { return nets_.size(); }
+  bool trained() const noexcept { return !model().nets.empty(); }
+  std::size_t total_nets() const noexcept { return model().nets.size(); }
   std::size_t active_nets() const noexcept;
-  std::size_t feature_count() const noexcept { return norm_in_.features(); }
+  std::size_t feature_count() const noexcept { return model().norm_in.features(); }
   /// Training MSE of each member (normalized target units), for tests.
-  const std::vector<double>& member_errors() const noexcept { return errors_; }
-  const std::vector<bool>& active_mask() const noexcept { return active_; }
+  const std::vector<double>& member_errors() const noexcept { return model().errors; }
+  const std::vector<bool>& active_mask() const noexcept { return model().active; }
   /// Trained member networks, for the determinism regression test: two runs
-  /// from the same seed must produce bit-identical weight vectors.
-  const std::vector<Mlp>& nets() const noexcept { return nets_; }
+  /// from the same seed must produce bit-identical weight vectors. Copies of
+  /// one fitted ensemble return the same vector (same data()).
+  const std::vector<Mlp>& nets() const noexcept { return model().nets; }
 
  private:
-  Normalizer norm_in_;
-  Normalizer norm_out_;
-  std::vector<Mlp> nets_;
-  std::vector<double> errors_;
-  std::vector<bool> active_;
+  struct Fitted {
+    Normalizer norm_in;
+    Normalizer norm_out;
+    std::vector<Mlp> nets;
+    std::vector<double> errors;
+    std::vector<bool> active;
+  };
+
+  /// The fitted block, or an empty one before the first fit.
+  const Fitted& model() const noexcept;
+
+  std::shared_ptr<const Fitted> fitted_;
 };
 
 }  // namespace rafiki::ml

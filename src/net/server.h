@@ -1,7 +1,7 @@
-// net::Server — the RPC front-end over a serve::TuningBackend (the single
-// TuningService or the ShardedTuningService router): an event-driven,
-// multi-threaded TCP server speaking the length-prefixed binary protocol of
-// net/wire.h.
+// net::Server — the RPC front-end over a serve::TuningBackend (a
+// TuningService of any shard count, or a TenantFleet over one): an
+// event-driven, multi-threaded TCP server speaking the length-prefixed
+// binary protocol of net/wire.h.
 //
 //   * IO readiness comes from a net::EventPoller — edge-triggered epoll on
 //     Linux, a persistent level-triggered poll() set as the portable

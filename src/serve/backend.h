@@ -1,8 +1,8 @@
-// The serving-plane surface shared by the single TuningService and the
-// ShardedTuningService router: snapshot publication, request submission, and
-// lifecycle. Front-ends (net::Server, rafiki_serverd, the load benches)
-// program against this interface so a process can swap between one service
-// and an N-shard fleet with a flag.
+// The serving-plane surface: snapshot publication, request submission, and
+// lifecycle. TuningService (one shard or many) implements it, and
+// tenant::TenantFleet decorates it with per-tenant admission. Front-ends
+// (net::Server, rafiki_serverd, the load benches) program against this
+// interface, so the same front-end serves a bare service or a fleet.
 #pragma once
 
 #include <cstdint>
@@ -58,33 +58,44 @@ class TuningBackend {
   /// snapshot registry. Call before start().
   virtual void attach_tuner(core::OnlineTuner& tuner) = 0;
 
-  /// Asynchronous submission. Admission control resolves immediately: the
-  /// returned future is already satisfied with Overloaded / ShuttingDown
-  /// when the request was not admitted.
-  virtual std::future<Response> submit(Request request) = 0;
-  /// Callback-style submission for event-loop callers (the net::Server) that
-  /// must not block on a future. Returns kOk when the request was admitted —
-  /// `done` then fires exactly once with the response — or the admission
-  /// verdict (Overloaded / ShuttingDown), in which case `done` is never
-  /// invoked and the caller answers inline.
+  /// Callback-style submission, the one admission path. Event-loop callers
+  /// (the net::Server) must never block on a future. Returns kOk when the
+  /// request was admitted — `done` then fires exactly once with the
+  /// response — or the admission verdict (Overloaded / ShuttingDown, or a
+  /// decorator's own), in which case `done` is never invoked and the caller
+  /// answers inline.
   virtual Status try_submit(Request request, ResponseCallback done) = 0;
+  /// Future-style submission over try_submit. Admission control resolves
+  /// immediately: the returned future is already satisfied with the verdict
+  /// when the request was not admitted.
+  virtual std::future<Response> submit(Request request) {
+    auto promise = std::make_shared<std::promise<Response>>();
+    auto future = promise->get_future();
+    const Status admitted = try_submit(
+        std::move(request),
+        [promise](Response response) { promise->set_value(std::move(response)); });
+    if (admitted != Status::kOk) {
+      Response response;
+      response.status = admitted;
+      promise->set_value(std::move(response));
+    }
+    return future;
+  }
 
   virtual void start() = 0;
   virtual void stop() = 0;
 
-  /// Telemetry sink for wire-level front-ends. For a sharded backend this is
-  /// the router-level stats object (wire telemetry is per-process, not
-  /// per-shard); request-path counters live in the shards and are merged by
-  /// stats_table(). ServiceStats is internally synchronized and lock-free on
-  /// the record path.
+  /// Telemetry sink for wire-level front-ends (TuningService: shard 0's
+  /// stats, which also carry that shard's request counters). ServiceStats is
+  /// internally synchronized and lock-free on the record path.
   virtual ServiceStats& stats() noexcept = 0;
   virtual const ServiceStats& stats() const noexcept = 0;
-  /// Per-endpoint summary table; merge-on-read across shards for a sharded
-  /// backend, identical layout either way.
+  /// Per-endpoint summary table, merged across shards on read; the layout is
+  /// the same for any shard count.
   virtual Table stats_table() const = 0;
 
-  /// Numeric merged telemetry (benches and gates read these; for a sharded
-  /// backend they fold every shard's striped stats on each call).
+  /// Numeric merged telemetry (benches and gates read these; each call folds
+  /// every shard's striped stats).
   virtual ServiceStats::Counters endpoint_counters(Endpoint endpoint) const = 0;
   virtual ServiceStats::RetrainCounters retrain_counters() const = 0;
   virtual double endpoint_latency_quantile(Endpoint endpoint, double q) const = 0;

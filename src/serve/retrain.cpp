@@ -76,12 +76,16 @@ void RetrainWorker::loop() {
 
     // det:ok(wall-clock): reporting-only retrain latency measurement
     const auto t0 = std::chrono::steady_clock::now();
-    run_(task.key, task.read_ratio);
+    const bool ran = run_(task.key, task.read_ratio);
     // det:ok(wall-clock): reporting-only retrain latency measurement
     const auto t1 = std::chrono::steady_clock::now();
-    if (stats_) {
+    if (stats_ && ran) {
       stats_->record_retrain(
           std::chrono::duration<double, std::micro>(t1 - t0).count());
+    } else if (stats_) {
+      // A run that finished after this task was enqueued already cached the
+      // bucket, so no GA ran: count it with the coalesced requests.
+      stats_->record_retrain_coalesced();
     }
 
     {

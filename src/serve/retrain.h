@@ -11,7 +11,9 @@
 //     growing unboundedly.
 //   * Coalescing — requests for a bucket that already has a task pending
 //     (queued or mid-run) share that task's completion future; N same-bucket
-//     stale windows cost one GA run.
+//     stale windows cost one GA run. A task whose run function reports that
+//     no GA ran (the tuner's memo cache already held the bucket) counts as
+//     coalesced too, so `runs` counts real GA runs only.
 //   * Graceful shutdown — stop(drain=true) runs everything still queued,
 //     stop(drain=false) cancels it; either way every future ever handed out
 //     resolves (kCompleted or kCancelled), and an in-flight task always runs
@@ -73,12 +75,13 @@ enum class RetrainOutcome : std::uint8_t { kCompleted = 0, kCancelled };
 
 class RetrainWorker {
  public:
-  /// Runs one background optimization. Invoked on the worker thread only,
-  /// with no worker lock held. `key` is the coalescing key — plain bucket
-  /// numbers for a single-tenant service, retrain_key(tenant, bucket) for a
-  /// fleet. (The serve layer points this at OnlineTuner::run_optimize, which
-  /// itself coalesces already-cached buckets into a no-op.)
-  using RunFn = std::function<void(std::uint64_t key, double read_ratio)>;
+  /// Runs one background optimization and returns whether it actually ran
+  /// one: false means the work was already done (recorded as coalesced, not
+  /// as a run). Invoked on the worker thread only, with no worker lock held.
+  /// `key` is the coalescing key, retrain_key(tenant, bucket). (The serve
+  /// layer points this at OnlineTuner::run_optimize, which returns false for
+  /// an already-cached bucket.)
+  using RunFn = std::function<bool(std::uint64_t key, double read_ratio)>;
 
   /// `stats` may be null (no telemetry); when set it must outlive the worker.
   explicit RetrainWorker(RunFn run, RetrainOptions options = {},

@@ -1,5 +1,7 @@
 #include "serve/service.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #if defined(__linux__)
@@ -13,14 +15,59 @@
 namespace rafiki::serve {
 namespace {
 
+constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// stop() cancels each shard's queued retrain backlog instead of draining
+/// it: nobody waits on those optimizations once the service goes down.
+constexpr bool kDrainRetrainOnStop = false;
+
 double elapsed_us(std::chrono::steady_clock::time_point since,
                   std::chrono::steady_clock::time_point until) {
   return std::chrono::duration<double, std::micro>(until - since).count();
 }
 
-ServiceOptions sanitize(ServiceOptions options) {
-  if (options.tenants == 0) options.tenants = 1;
+std::size_t hw_threads() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+ShardOptions sanitize(ShardOptions options) {
+  if (options.service.tenants == 0) options.service.tenants = 1;
+  options.shards = std::clamp<std::size_t>(options.shards, 1, 128);
   return options;
+}
+
+/// A one-shard service whose budget is exactly its `workers`.
+ShardOptions one_shard(ServiceOptions service) {
+  ShardOptions options;
+  options.shards = 1;
+  options.worker_budget = service.workers;
+  options.service = std::move(service);
+  return options;
+}
+
+/// Fleet worker budget for N shards. An explicit budget is taken as given
+/// (floored at one worker per shard so no shard deadlocks its queue); the
+/// derived budget caps the legacy shards*workers sizing at the machine's
+/// hardware threads — the oversubscription that made 8 shards slower than 1.
+std::size_t resolve_budget(const ShardOptions& options) noexcept {
+  if (options.worker_budget > 0) return std::max(options.worker_budget, options.shards);
+  if (options.service.workers == 0) return 0;  // test mode: no workers anywhere
+  const std::size_t requested = options.shards * options.service.workers;
+  return std::max(options.shards, std::min(hw_threads(), requested));
+}
+
+/// Contiguous CPU slice for shard i of n: [i*H/n, (i+1)*H/n). With more
+/// shards than CPUs the slice is empty — fall back to a single shared CPU
+/// (i % H) so pinning still separates shards as far as the machine allows.
+std::vector<int> shard_cpu_slice(std::size_t shard, std::size_t shards) {
+  const std::size_t hw = hw_threads();
+  const std::size_t lo = shard * hw / shards;
+  const std::size_t hi = (shard + 1) * hw / shards;
+  std::vector<int> cpus;
+  for (std::size_t cpu = lo; cpu < hi; ++cpu) cpus.push_back(static_cast<int>(cpu));
+  if (cpus.empty()) cpus.push_back(static_cast<int>(shard % hw));
+  return cpus;
 }
 
 /// Pins the calling thread to one CPU (no-op off Linux or on failure —
@@ -51,55 +98,224 @@ std::uint64_t thread_cpu_us() {
 
 }  // namespace
 
+// --- routing ------------------------------------------------------------------
+
+std::size_t TuningService::band_of(double read_ratio) noexcept {
+  const long scaled = std::lround(read_ratio * 100.0);
+  return static_cast<std::size_t>(
+      std::clamp<long>(scaled, 0, static_cast<long>(kBands - 1)));
+}
+
+std::uint64_t TuningService::band_fingerprint(std::size_t band) noexcept {
+  return route_fingerprint(0, band);
+}
+
+std::uint64_t TuningService::route_fingerprint(TenantId tenant, std::size_t band) noexcept {
+  // splitmix64 finalizer over the packed (tenant, band) key: a pure integer
+  // mix — no pointers, no process state — so key->slot->shard assignment is
+  // reproducible across restarts for a fixed shard count. Bands fit in 7
+  // bits (kBands = 101), so the packing is collision-free, and tenant 0
+  // reduces to the original per-band fingerprint.
+  std::uint64_t z = ((static_cast<std::uint64_t>(tenant) << 7) |
+                     static_cast<std::uint64_t>(band)) +
+                    0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+std::size_t TuningService::shard_of_key(TenantId tenant, std::size_t band) const noexcept {
+  return route_[route_slot(tenant, std::min(band, kBands - 1))].load(kRelaxed) %
+         shards_.size();
+}
+
+std::size_t TuningService::shard_of_band(std::size_t band) const noexcept {
+  return shard_of_key(0, band);
+}
+
+std::size_t TuningService::shard_of(double read_ratio) const noexcept {
+  return shard_of_key(0, band_of(read_ratio));
+}
+
+void TuningService::route_band(std::size_t band, std::size_t shard_index) noexcept {
+  route_key(0, band, shard_index);
+}
+
+void TuningService::route_key(TenantId tenant, std::size_t band,
+                              std::size_t shard_index) noexcept {
+  if (band >= kBands || shard_index >= shards_.size()) return;
+  route_[route_slot(tenant, band)].store(static_cast<std::uint8_t>(shard_index), kRelaxed);
+}
+
+// --- construction and lifecycle -------------------------------------------------
+
+TuningService::Shard::Shard(const ServiceOptions& options, std::size_t workers,
+                            std::vector<int> cpus, RetrainWorker::RunFn run)
+    : queue_(options.queue_capacity),
+      stats_(options.stats),
+      retrain_(std::move(run), options.retrain, &stats_),
+      worker_count_(workers),
+      cpus_(std::move(cpus)) {}
+
 TuningService::TuningService(ServiceOptions options)
+    : TuningService(one_shard(std::move(options))) {}
+
+TuningService::TuningService(ShardOptions options)
     : options_(sanitize(std::move(options))),
-      registries_(options_.tenants),
-      version_counters_(options_.tenants, 0),
-      pending_tuned_(options_.tenants),
-      queue_(options_.queue_capacity),
-      stats_(options_.stats),
-      retrain_(
-          // The worker thread delegates to the owning tenant's optimize
-          // path; the tuner coalesces already-cached buckets into a no-op,
-          // and its publish hook republishes the result through that
-          // tenant's registry slot.
-          [this](std::uint64_t key, double read_ratio) {
-            auto* tuner = tuner_for(retrain_key_tenant(key));
-            if (tuner != nullptr) tuner->run_optimize(read_ratio);
-          },
-          options_.retrain, &stats_),
-      tuners_(options_.tenants) {}
+      registries_(options_.service.tenants),
+      version_counters_(options_.service.tenants, 0),
+      tuned_(options_.service.tenants),
+      tuners_(options_.service.tenants) {
+  // Divide the budget across shards: budget/N each, +1 for the first
+  // budget%N shards, so the division is deterministic for a given (budget,
+  // shards) and the total never exceeds the budget.
+  const std::size_t n = options_.shards;
+  const std::size_t budget = resolve_budget(options_);
+  shards_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // The retrain worker delegates to the owning tenant's optimize path; the
+    // tuner turns an already-cached bucket into a no-op (reported as not
+    // run), and its publish hook republishes the result into the tenant's
+    // slot.
+    auto run = [this](std::uint64_t key, double read_ratio) {
+      auto* tuner = tuner_for(retrain_key_tenant(key));
+      return tuner != nullptr && tuner->run_optimize(read_ratio);
+    };
+    shards_.push_back(std::make_unique<Shard>(
+        options_.service, budget / n + (i < budget % n ? 1 : 0),
+        options_.pin_shards ? shard_cpu_slice(i, n) : std::vector<int>{}, std::move(run)));
+  }
+  for (std::size_t slot = 0; slot < kRouteSlots; ++slot) {
+    // Initial slot->shard spread reuses the same pure mix (of the slot
+    // index), keeping the table identical across restarts.
+    route_[slot].store(static_cast<std::uint8_t>(band_fingerprint(slot) % n), kRelaxed);
+  }
+}
 
 TuningService::~TuningService() { stop(); }
+
+void TuningService::start() {
+  MutexLock lock(lifecycle_mutex_);
+  if (started_ || stopped_) return;
+  started_ = true;
+  for (auto& shard : shards_) {
+    shard->retrain_.start();
+    shard->threads_.reserve(shard->worker_count_);
+    for (std::size_t i = 0; i < shard->worker_count_; ++i) {
+      shard->threads_.emplace_back([this, s = shard.get(), i] { worker_loop(*s, i); });
+    }
+  }
+  if (options_.rebalance_interval.count() > 0) {
+    rebalance_thread_ = std::thread([this] { rebalance_loop(); });
+  }
+}
+
+void TuningService::stop() {
+  {
+    MutexLock lock(lifecycle_mutex_);
+    if (stopped_) return;
+    stopped_ = true;
+  }
+  stop_cv_.notify_all();
+  if (rebalance_thread_.joinable()) rebalance_thread_.join();
+  for (auto& shard : shards_) shard->queue_.close();
+  for (auto& shard : shards_) {
+    for (auto& thread : shard->threads_) {
+      if (thread.joinable()) thread.join();
+    }
+    shard->threads_.clear();
+  }
+  for (auto& shard : shards_) {
+    // Request workers are gone, so nothing can enqueue retrains anymore; an
+    // in-flight GA always completes and still republishes into its slot.
+    shard->retrain_.stop(kDrainRetrainOnStop);
+    // No worker ever consumed these (workers == 0, or stop before start):
+    // fail them instead of leaving their callbacks unanswered.
+    while (auto job = shard->queue_.try_pop()) {
+      Response response;
+      response.status = Status::kShuttingDown;
+      finish(*shard, *job, response);
+    }
+  }
+}
+
+void TuningService::rebalance_loop() {
+  for (;;) {
+    {
+      MutexLock lock(lifecycle_mutex_);
+      // The pacing deadline is real time by design: it decides only *when*
+      // the policy thread looks at the telemetry, never what any request
+      // returns (a migration just changes which shard serves a key).
+      // det:ok(wall-clock): policy-thread pacing only, results unaffected
+      const auto deadline = std::chrono::steady_clock::now() + options_.rebalance_interval;
+      while (!stopped_) {
+        if (stop_cv_.wait_until(lifecycle_mutex_, deadline) == std::cv_status::timeout) break;
+      }
+      if (stopped_) return;
+    }
+    rebalance_hottest();
+  }
+}
+
+bool TuningService::rebalance_hottest() {
+  MutexLock lock(rebalance_mutex_);
+  const std::size_t n = shards_.size();
+  if (n < 2) return false;
+
+  // Shard load = routed hits of the slots it currently owns; also track each
+  // shard's hottest slot so the migration victim falls out of the same scan.
+  std::vector<std::uint64_t> load(n, 0);
+  std::vector<std::size_t> hottest_slot(n, kRouteSlots);
+  std::vector<std::uint64_t> hottest_hits(n, 0);
+  for (std::size_t slot = 0; slot < kRouteSlots; ++slot) {
+    const std::size_t owner = route_[slot].load(kRelaxed) % n;
+    const std::uint64_t hits = slot_hits_[slot].load(kRelaxed);
+    load[owner] += hits;
+    if (hits > hottest_hits[owner]) {
+      hottest_hits[owner] = hits;
+      hottest_slot[owner] = slot;
+    }
+  }
+
+  std::size_t most = 0;
+  std::size_t least = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (load[i] > load[most]) most = i;
+    if (load[i] < load[least]) least = i;
+  }
+  if (most == least || hottest_slot[most] == kRouteSlots) return false;
+  // Greedy improvement check: migrate only if the receiver stays below the
+  // donor's current load, otherwise the move just swaps the hot spot.
+  const std::uint64_t moved = hottest_hits[most];
+  if (moved == 0 || load[least] + moved >= load[most]) return false;
+
+  route_[hottest_slot[most]].store(static_cast<std::uint8_t>(least), kRelaxed);
+  rebalances_.fetch_add(1, kRelaxed);
+  return true;
+}
+
+// --- publication ------------------------------------------------------------------
 
 std::uint64_t TuningService::publish(ModelSnapshot snapshot) {
   MutexLock lock(publish_mutex_);
   // Every tenant slot gets the new model; each stamps its own version (so a
-  // tenant's version history stays monotonic and tenant-local). Tenant 0's
-  // version is returned for single-tenant callers.
-  std::uint64_t first = 0;
+  // tenant's version history stays monotonic and tenant-local). Copies share
+  // the fitted ensemble and the search space, so a slot costs one snapshot
+  // header plus its tuned table. Tenant 0's version is returned.
   for (TenantId tenant = 1; tenant < registries_.size(); ++tenant) {
     publish_locked(tenant, snapshot);  // copies; tenant 0 below takes the original
   }
-  first = publish_locked(0, std::move(snapshot));
-  return first;
+  return publish_locked(0, std::move(snapshot));
 }
 
 std::uint64_t TuningService::publish_locked(TenantId tenant, ModelSnapshot snapshot) {
-  // Fold in tuned entries that arrived before this tenant's first real
-  // publish; entries already in the snapshot win.
-  auto& pending = pending_tuned_[tenant];
-  for (const auto& [bucket, entry] : pending) snapshot.tuned.emplace(bucket, entry);
-  pending.clear();
+  // The tenant's tuned configs survive a full publish; an entry the
+  // published snapshot already carries for the same bucket wins.
+  for (const auto& [bucket, entry] : tuned_[tenant]) snapshot.tuned.emplace(bucket, entry);
   snapshot.version = ++version_counters_[tenant];
   const std::uint64_t version = snapshot.version;
   registries_[tenant].set(std::make_shared<const ModelSnapshot>(std::move(snapshot)));
   return version;
-}
-
-std::uint64_t TuningService::model_version() const {
-  const auto snapshot = registries_[0].get();
-  return snapshot ? snapshot->version : 0;
 }
 
 std::uint64_t TuningService::tenant_model_version(TenantId tenant) const {
@@ -107,49 +323,40 @@ std::uint64_t TuningService::tenant_model_version(TenantId tenant) const {
   return snapshot ? snapshot->version : 0;
 }
 
-void TuningService::attach_tuner(core::OnlineTuner& tuner) {
-  tuner.set_publish_hook([this](int bucket, const core::Rafiki::OptimizeResult& result) {
-    publish_tuned(0, bucket, result.config, result.predicted_throughput);
-  });
-  // Route the tuner's cache misses (ObserveWindow staleness, prefetch) to
-  // the background worker: no GA ever runs on a request-path thread.
-  tuner.set_async_optimize_hook([this](int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(0, bucket), read_ratio);
-  });
-  tuners_[0].store(&tuner, std::memory_order_release);
-}
-
-void TuningService::bind_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner) {
-  // Pointer only — the tuner's single-slot hooks stay untouched so a router
-  // or fleet that shares / owns the tuner can install them itself
-  // (attach_tuner here would make last-attached-shard win and drop everyone
-  // else's republish).
+void TuningService::attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner) {
   if (tenant >= tuners_.size()) return;
+  tuner.set_publish_hook([this, tenant](int bucket, const core::Rafiki::OptimizeResult& result) {
+    publish_tuned(tenant, bucket, result.config, result.predicted_throughput);
+  });
+  // Route the tuner's cache misses (ObserveWindow staleness, prefetch) to the
+  // retrain worker of the shard that owns the (tenant, band) key, so its
+  // coalescing map sees every request for that workload: no GA ever runs on
+  // a request-path thread, and tenants never coalesce with each other.
+  tuner.set_async_optimize_hook([this, tenant](int bucket, double read_ratio) {
+    shards_[shard_of_key(tenant, band_of(read_ratio))]->retrain_.enqueue(
+        retrain_key(tenant, bucket), read_ratio);
+  });
   tuners_[tenant].store(&tuner, std::memory_order_release);
 }
 
-void TuningService::publish_tuned(TenantId tenant, int bucket,
-                                  const engine::Config& config, double predicted) {
+void TuningService::publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
+                                  double predicted) {
   // Copy-on-write republication: the tuned-config table rides inside the
   // immutable snapshot, so readers see it with the same lock-free load.
-  // Only this tenant's slot is touched; sibling tenants keep the exact
-  // shared_ptr (and version) they were already serving.
   if (tenant >= registries_.size()) return;
+  const TunedEntry entry{config, predicted};
   MutexLock lock(publish_mutex_);
+  tuned_[tenant][bucket] = entry;
   const auto current = registries_[tenant].get();
-  if (!current) {
-    // Nothing real is published yet: don't burn a version on a snapshot
-    // with an untrained ensemble and null space — park the entry until the
-    // tenant's first publish() folds it in.
-    pending_tuned_[tenant][bucket] = TunedEntry{config, predicted};
-    return;
-  }
+  if (!current) return;  // no real model yet: the first publish() stamps it in
   ModelSnapshot next = *current;
-  next.tuned[bucket] = TunedEntry{config, predicted};
+  next.tuned[bucket] = entry;
   publish_locked(tenant, std::move(next));
 }
 
-Status TuningService::offer(const Request& request, ResponseCallback& done) {
+// --- admission --------------------------------------------------------------------
+
+Status TuningService::Shard::offer(const Request& request, ResponseCallback& done) {
   Job job;
   job.request = request;
   job.done = std::move(done);
@@ -175,67 +382,38 @@ Status TuningService::offer(const Request& request, ResponseCallback& done) {
   return Status::kOk;
 }
 
-std::future<Response> TuningService::submit(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  auto future = promise->get_future();
-  const Status admitted = try_submit(
-      std::move(request),
-      [promise](Response response) { promise->set_value(std::move(response)); });
-  if (admitted != Status::kOk) {
-    Response response;
-    response.status = admitted;
-    promise->set_value(std::move(response));
-  }
-  return future;
-}
-
 Status TuningService::try_submit(Request request, ResponseCallback done) {
-  return offer(request, done);
+  // One shard: nothing to route, count or rebalance.
+  if (shards_.size() == 1) return shards_.front()->offer(request, done);
+
+  const std::size_t slot = route_slot(request.tenant, band_of(request.read_ratio));
+  slot_hits_[slot].fetch_add(1, kRelaxed);
+  const std::size_t home = route_[slot].load(kRelaxed) % shards_.size();
+  Status verdict = shards_[home]->offer(request, done);
+  if (verdict != Status::kOverloaded) return verdict;
+
+  // offer() hands `done` back intact on rejection, so every spill retry
+  // reuses the one callback.
+  const std::size_t tries = std::min(options_.spill_limit, shards_.size() - 1);
+  for (std::size_t i = 1; i <= tries; ++i) {
+    verdict = shards_[(home + i) % shards_.size()]->offer(request, done);
+    if (verdict == Status::kOk) {
+      spills_.fetch_add(1, kRelaxed);
+      return verdict;
+    }
+    if (verdict == Status::kShuttingDown) return verdict;
+  }
+  return verdict;
 }
 
-void TuningService::start() {
-  MutexLock lock(lifecycle_mutex_);
-  if (started_ || stopped_) return;
-  started_ = true;
-  retrain_.start();
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
+// --- execution --------------------------------------------------------------------
 
-void TuningService::stop() {
-  {
-    MutexLock lock(lifecycle_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  queue_.close();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  // Request workers are gone, so nothing can enqueue retrains anymore; the
-  // background worker drains or cancels its backlog (an in-flight GA always
-  // completes and still republishes through the registry).
-  retrain_.stop(options_.drain_retrain_on_stop);
-  // No worker ever consumed these (workers == 0, or stop before start):
-  // fail them instead of leaving their futures hanging.
-  while (auto job = queue_.try_pop()) {
-    Response response;
-    response.status = Status::kShuttingDown;
-    finish(*job, response);
-  }
-}
-
-void TuningService::worker_loop(std::size_t worker_index) {
-  if (!options_.cpu_affinity.empty()) {
-    pin_current_thread(
-        options_.cpu_affinity[worker_index % options_.cpu_affinity.size()]);
-  }
-  while (auto job = queue_.pop()) {
+void TuningService::worker_loop(Shard& shard, std::size_t worker_index) {
+  if (!shard.cpus_.empty()) pin_current_thread(shard.cpus_[worker_index % shard.cpus_.size()]);
+  const ServiceOptions& options = options_.service;
+  while (auto job = shard.queue_.pop()) {
     if (job->request.endpoint != Endpoint::kPredict) {
-      run_single(std::move(*job));
+      run_single(shard, std::move(*job));
       continue;
     }
 
@@ -248,16 +426,16 @@ void TuningService::worker_loop(std::size_t worker_index) {
     // The flush window is real time by design: it affects only how requests
     // are grouped into batches, never what any request returns.
     // det:ok(wall-clock): real-time micro-batch flush window, grouping only
-    const auto flush_at = std::chrono::steady_clock::now() + options_.batch_window;
-    while (batch.size() < options_.max_batch) {
-      auto next = queue_.try_pop();
+    const auto flush_at = std::chrono::steady_clock::now() + options.batch_window;
+    while (batch.size() < options.max_batch) {
+      auto next = shard.queue_.try_pop();
       if (!next) {
         // Adaptive flush: an empty queue means no co-arriving requests to
         // coalesce — run what we have now rather than stalling everyone in
         // the batch for the rest of the window (the 1-client/batch-32 case
         // degraded to window-bound throughput before this).
-        if (options_.adaptive_batch) break;
-        next = queue_.pop_until(flush_at);
+        if (options.adaptive_batch) break;
+        next = shard.queue_.pop_until(flush_at);
         if (!next) break;  // window elapsed (or queue closed and drained)
       }
       if (next->request.endpoint == Endpoint::kPredict) {
@@ -267,20 +445,20 @@ void TuningService::worker_loop(std::size_t worker_index) {
         break;
       }
     }
-    run_predict_batch(std::move(batch));
-    if (carry) run_single(std::move(*carry));
+    run_predict_batch(shard, std::move(batch));
+    if (carry) run_single(shard, std::move(*carry));
   }
-  worker_cpu_us_.fetch_add(thread_cpu_us(), std::memory_order_relaxed);
+  shard.worker_cpu_us_.fetch_add(thread_cpu_us(), kRelaxed);
 }
 
-void TuningService::finish(Job& job, Response response) {
+void TuningService::finish(Shard& shard, Job& job, Response response) {
   // det:ok(wall-clock): reporting-only latency measurement
   const auto now = std::chrono::steady_clock::now();
-  stats_.record_done(job.request.endpoint, response.status, elapsed_us(job.enqueued, now));
+  shard.stats_.record_done(job.request.endpoint, response.status, elapsed_us(job.enqueued, now));
   job.done(std::move(response));
 }
 
-void TuningService::run_predict_batch(std::vector<Job> batch) {
+void TuningService::run_predict_batch(Shard& shard, std::vector<Job> batch) {
   const Tick now = now_tick();
 
   // Deadline triage, then partition by tenant: a micro-batch may interleave
@@ -292,7 +470,7 @@ void TuningService::run_predict_batch(std::vector<Job> batch) {
     if (expired(job.request, now)) {
       Response response;
       response.status = Status::kDeadlineExceeded;
-      finish(job, response);
+      finish(shard, job, response);
     } else {
       groups[job.request.tenant].push_back(std::move(job));
     }
@@ -305,7 +483,7 @@ void TuningService::run_predict_batch(std::vector<Job> batch) {
       for (auto& job : live) {
         Response response;
         response.status = Status::kNotReady;
-        finish(job, response);
+        finish(shard, job, response);
       }
       continue;
     }
@@ -316,7 +494,7 @@ void TuningService::run_predict_batch(std::vector<Job> batch) {
       rows.push_back(snapshot->feature_row(job.request.read_ratio, job.request.config));
     }
     const auto predictions = snapshot->ensemble.predict_batch_with_uncertainty(rows);
-    stats_.record_batch(live.size());
+    shard.stats_.record_batch(live.size());
 
     for (std::size_t i = 0; i < live.size(); ++i) {
       Response response;
@@ -325,16 +503,16 @@ void TuningService::run_predict_batch(std::vector<Job> batch) {
       response.mean = predictions[i].mean;
       response.stddev = predictions[i].stddev;
       response.batch_size = live.size();
-      finish(live[i], response);
+      finish(shard, live[i], response);
     }
   }
 }
 
-void TuningService::run_single(Job job) {
+void TuningService::run_single(Shard& shard, Job job) {
   Response response;
   if (expired(job.request, now_tick())) {
     response.status = Status::kDeadlineExceeded;
-    finish(job, response);
+    finish(shard, job, response);
     return;
   }
 
@@ -344,7 +522,7 @@ void TuningService::run_single(Job job) {
       // but kept correct for direct use: a batch of one.
       std::vector<Job> batch;
       batch.push_back(std::move(job));
-      run_predict_batch(std::move(batch));
+      run_predict_batch(shard, std::move(batch));
       return;
     }
     case Endpoint::kOptimize: {
@@ -366,7 +544,7 @@ void TuningService::run_single(Job job) {
         }
         return snapshot->ensemble.predict_batch(rows);
       };
-      const auto ga = opt::ga_optimize_batched(*snapshot->space, objective, options_.ga);
+      const auto ga = opt::ga_optimize_batched(*snapshot->space, objective, options_.service.ga);
       response.status = Status::kOk;
       response.model_version = snapshot->version;
       response.config = engine::Config::from_vector(snapshot->key_params, ga.best_point);
@@ -381,10 +559,10 @@ void TuningService::run_single(Job job) {
         break;
       }
       // The tuner is internally synchronized. With the async-optimize hook
-      // attached (attach_tuner), a cache miss returns immediately with a
-      // stale-marked decision and the bucket lands on the RetrainWorker; the
-      // publish hook republishes the tuned config as a new snapshot version
-      // once the background GA completes.
+      // attached (attach_tenant_tuner), a cache miss returns immediately
+      // with a stale-marked decision and the bucket lands on a
+      // RetrainWorker; the publish hook republishes the tuned config as a
+      // new snapshot version once the background GA completes.
       const auto decision = tuner->on_window(job.request.read_ratio);
       response.status = Status::kOk;
       response.model_version = tenant_model_version(job.request.tenant);
@@ -392,11 +570,98 @@ void TuningService::run_single(Job job) {
       response.reconfigured = decision.reconfigured;
       response.stale = decision.stale;
       response.predicted_throughput = decision.predicted_throughput;
-      if (decision.stale) stats_.record_stale(Endpoint::kObserveWindow);
+      if (decision.stale) shard.stats_.record_stale(Endpoint::kObserveWindow);
       break;
     }
   }
-  finish(job, response);
+  finish(shard, job, response);
+}
+
+// --- merged telemetry -------------------------------------------------------------
+
+ServiceStats::EndpointAggregate TuningService::merged_aggregate(Endpoint endpoint) const {
+  auto agg = shards_.front()->stats_.endpoint_aggregate(endpoint);
+  for (std::size_t i = 1; i < shards_.size(); ++i) {
+    agg.merge(shards_[i]->stats_.endpoint_aggregate(endpoint));
+  }
+  return agg;
+}
+
+Table TuningService::stats_table() const {
+  std::vector<ServiceStats::EndpointAggregate> aggs;
+  aggs.reserve(kEndpointCount);
+  for (std::size_t i = 0; i < kEndpointCount; ++i) {
+    aggs.push_back(merged_aggregate(static_cast<Endpoint>(i)));
+  }
+  return ServiceStats::table_of(aggs);
+}
+
+ServiceStats::Counters TuningService::endpoint_counters(Endpoint endpoint) const {
+  ServiceStats::Counters sum;
+  for (const auto& shard : shards_) sum.merge(shard->stats_.counters(endpoint));
+  return sum;
+}
+
+ServiceStats::Counters TuningService::merged_totals() const {
+  ServiceStats::Counters sum;
+  for (const auto& shard : shards_) sum.merge(shard->stats_.totals());
+  return sum;
+}
+
+ServiceStats::RetrainCounters TuningService::retrain_counters() const {
+  ServiceStats::RetrainCounters sum;
+  for (const auto& shard : shards_) {
+    const auto per = shard->stats_.retrain_counters();
+    sum.runs += per.runs;
+    sum.coalesced += per.coalesced;
+    sum.rejected += per.rejected;
+    sum.cancelled += per.cancelled;
+  }
+  return sum;
+}
+
+double TuningService::endpoint_latency_quantile(Endpoint endpoint, double q) const {
+  return merged_aggregate(endpoint).latency.quantile(q);
+}
+
+double TuningService::mean_batch_size() const {
+  // Weight each shard's mean by its batch count: total predicted rows over
+  // total batches, the same definition as one shard's counter.
+  double rows = 0.0;
+  double batches = 0.0;
+  for (const auto& shard : shards_) {
+    const auto n = static_cast<double>(shard->stats_.batches());
+    rows += shard->stats_.mean_batch_size() * n;
+    batches += n;
+  }
+  return batches > 0.0 ? rows / batches : 0.0;
+}
+
+double TuningService::mean_retrain_latency_us() const {
+  double total = 0.0;
+  double runs = 0.0;
+  for (const auto& shard : shards_) {
+    const auto n = static_cast<double>(shard->stats_.retrain_counters().runs);
+    total += shard->stats_.mean_retrain_latency_us() * n;
+    runs += n;
+  }
+  return runs > 0.0 ? total / runs : 0.0;
+}
+
+std::uint64_t TuningService::worker_cpu_us() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->worker_cpu_us();
+  return total;
+}
+
+std::size_t TuningService::resolved_worker_budget() const noexcept {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->worker_count();
+  return total;
+}
+
+void TuningService::wait_retrain_idle() {
+  for (auto& shard : shards_) shard->retrain_.wait_idle();
 }
 
 }  // namespace rafiki::serve

@@ -1,7 +1,17 @@
 // The concurrent tuning service (the "middleware" in the paper's title, as a
-// long-running process): N worker threads answer Predict / Optimize /
-// ObserveWindow requests from a bounded MPMC queue against the currently
-// published model snapshot.
+// long-running process): worker threads answer Predict / Optimize /
+// ObserveWindow requests from bounded MPMC queues against the currently
+// published model snapshot. One TuningService serves one shard or many.
+//
+//   client ──try_submit──▶ route (tenant, band) ──▶ shard k
+//                            │      ▲                  ├─ bounded queue
+//                            │      │ rebalance        ├─ workers + batcher
+//                            │      │ (hot slot        ├─ striped stats
+//                            │      │  migration)      └─ retrain worker
+//                            └──▶ kOverloaded: spill to shard k+1 ...
+//
+//      per tenant, once per service: snapshot slot, version counter,
+//      tuned table, tuner pointer — every shard reads the same slot
 //
 //   * Admission control — a full queue rejects with Overloaded immediately;
 //     producers never block past capacity. Each request carries a deadline
@@ -9,24 +19,37 @@
 //   * Micro-batching — concurrent Predict requests are coalesced (up to
 //     ServiceOptions::max_batch, or a real-time flush window) into a single
 //     batched ensemble evaluation (SurrogateEnsemble::predict_batch).
-//   * Versioned snapshots — publish() atomically swaps the model behind an
-//     atomic shared_ptr; in-flight requests keep the version they started
-//     with. A background retrain republishes with zero downtime.
+//   * One shared model — publish() stamps a new version into every tenant's
+//     slot behind an atomic shared_ptr; in-flight requests keep the version
+//     they started with. Snapshot copies share the fitted ensemble, so a
+//     publish costs one small header per tenant, whatever the shard count.
 //   * Async retraining — ObserveWindow is stale-while-revalidate: a cache
 //     miss answers immediately with the current config (Response::stale set)
-//     and enqueues the bucket on a dedicated RetrainWorker thread; the GA
+//     and enqueues the bucket on the owning shard's RetrainWorker; the GA
 //     never runs on a request-path worker (serve/retrain.h).
+//   * Sharding — requests are routed by a stable fingerprint of their
+//     (tenant, read-ratio band) key (band = percent bucket of the read ratio,
+//     the tuner's cache quantization) hashed into a fixed table of route
+//     slots, after Tuneful's per-workload-signature tuning. The hot path
+//     shares nothing across shards: no common queue mutex, no common stats
+//     stripe. An Overloaded home shard spills to up to `spill_limit`
+//     siblings (every shard reads the same tenant slot, so any shard answers
+//     identically); rebalance_hottest() migrates the hottest route slot off
+//     the most-loaded shard with one atomic store. With one shard there is
+//     nothing to route: try_submit goes straight to shard 0.
 //   * Telemetry — per-endpoint latency histograms, QPS / rejection /
 //     queue-depth counters, batch-size distribution, retrain queue depth and
-//     latency (serve/stats.h).
+//     latency (serve/stats.h), per shard; the merged accessors sum over
+//     shards, and shard 0's stats() doubles as the sink for wire and fleet
+//     counters, so a one-shard service reads exactly like an unsharded one.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <thread>
@@ -49,23 +72,17 @@ namespace rafiki::serve {
 
 struct ServiceOptions {
   /// Tenant namespaces served by this instance (dense ids [0, tenants)).
-  /// Every tenant gets its own snapshot slot, version counter, pending-tuned
-  /// table, tuner pointer, and retrain coalescing key-space. 1 (the default)
-  /// is exactly the original single-tenant service: tenant 0 is the default
+  /// Every tenant gets its own snapshot slot, version counter, tuned table,
+  /// tuner pointer, and retrain coalescing key-space. 1 (the default) is
+  /// exactly the original single-tenant service: tenant 0 is the default
   /// namespace pre-tenant callers land in. 0 is normalized to 1.
   std::size_t tenants = 1;
-  /// Worker threads spawned by start(). 0 is valid (and useful in tests):
-  /// requests queue deterministically until start() is called with workers.
-  /// Inside a ShardedTuningService this is overwritten per shard from the
-  /// fleet-level worker budget (ShardOptions::worker_budget) — a shard never
-  /// sizes its own pool.
+  /// Worker threads spawned by start() for a one-shard service. 0 is valid
+  /// (and useful in tests): requests queue deterministically until stop().
+  /// Under ShardOptions this sizes the default fleet budget instead — a
+  /// shard never sizes its own pool (ShardOptions::worker_budget).
   std::size_t workers = 2;
-  /// CPUs to pin worker threads to: worker i lands on
-  /// cpu_affinity[i % cpu_affinity.size()]. Empty (the default) = no
-  /// pinning. The sharded router fills this per shard when
-  /// ShardOptions::pin_shards is set; ignored off Linux.
-  std::vector<int> cpu_affinity;
-  /// Bounded request queue capacity; the admission-control limit.
+  /// Bounded request queue capacity per shard; the admission-control limit.
   std::size_t queue_capacity = 256;
   /// Micro-batcher: flush a Predict batch at this many coalesced requests...
   std::size_t max_batch = 32;
@@ -86,32 +103,135 @@ struct ServiceOptions {
   /// GA budget for the Optimize endpoint.
   opt::GaOptions ga{};
   StatsOptions stats{};
-  /// Background retrain worker (ObserveWindow misses, tuner prefetches).
+  /// Background retrain worker per shard (ObserveWindow misses, tuner
+  /// prefetches). stop() cancels its queued backlog: pending optimizations
+  /// have no waiter once the service is going down, and a restart simply
+  /// re-enqueues on the next stale window.
   RetrainOptions retrain{};
-  /// stop(): finish the queued retrain backlog (true) or cancel it (false).
-  /// Cancelling is the default — pending optimizations have no waiter once
-  /// the service is going down, and a restart simply re-enqueues on the
-  /// next stale window.
-  bool drain_retrain_on_stop = false;
+};
+
+struct ShardOptions {
+  /// Shard count; clamped to [1, 128]. Every shard gets its own queue,
+  /// worker pool, batcher, stats and retrain worker built from `service`.
+  std::size_t shards = 4;
+  ServiceOptions service{};
+  /// Fleet-level worker budget, divided across shards (shard i gets
+  /// budget/N workers, +1 for the first budget%N shards). 0 (the default)
+  /// derives the budget from `service.workers` capped by the machine:
+  /// min(hardware_concurrency, shards * service.workers), floored at one
+  /// worker per shard. This is the de-scaling fix — giving every shard its
+  /// own full `service.workers` pool made 8 shards x (2 workers + a retrain
+  /// thread) oversubscribe any host with fewer than ~24 hardware threads.
+  /// An explicit budget is clamped to at least one worker per shard.
+  /// service.workers == 0 keeps every shard at zero workers (test mode).
+  std::size_t worker_budget = 0;
+  /// Pin each shard's workers to a contiguous CPU range (shard i gets CPUs
+  /// [i*H/N, (i+1)*H/N) of H = hardware_concurrency). Off (the default):
+  /// the scheduler places threads freely. Linux-only; elsewhere a no-op.
+  bool pin_shards = false;
+  /// On a home-shard Overloaded verdict, try up to this many sibling shards
+  /// (in route order) before reporting Overloaded to the caller. 0 disables
+  /// spilling.
+  std::size_t spill_limit = 1;
+  /// Automatic rebalance: start() spawns a background policy thread that
+  /// wakes at this interval and runs rebalance_hottest() off the same hit
+  /// telemetry. Zero (the default) disables the thread; explicit
+  /// rebalance_hottest() calls work either way.
+  std::chrono::milliseconds rebalance_interval{0};
 };
 
 class TuningService : public TuningBackend {
+  struct Job {
+    Request request;
+    /// The single completion channel, armed for every job (submit() adapts
+    /// its future through a callback; jobs carry no std::promise).
+    ResponseCallback done;
+    std::chrono::steady_clock::time_point enqueued;
+  };
+
  public:
+  /// Read-ratio bands: percent buckets of rr in [0, 1] — the same
+  /// quantization as the tuner's per-bucket model cache, so one tuned
+  /// workload maps to exactly one band.
+  static constexpr std::size_t kBands = 101;
+  /// Route-table size: (tenant, band) keys hash into this many slots, each
+  /// atomically mapped to a shard. A slot is the unit of migration; distinct
+  /// keys sharing a slot move together (ordinary hash-sharding collisions).
+  static constexpr std::size_t kRouteSlots = 1024;
+
+  /// Percent band of a read ratio (clamped into [0, kBands)).
+  static std::size_t band_of(double read_ratio) noexcept;
+  /// Stable fingerprint of a band in the default tenant namespace (tenant
+  /// 0): a pure integer mix (splitmix64 finalizer) of the band index — no
+  /// pointers, no process state — so band->shard assignment is identical
+  /// across restarts and machines for a given shard count.
+  static std::uint64_t band_fingerprint(std::size_t band) noexcept;
+  /// Stable fingerprint of a (tenant, band) routing key; tenant 0 reduces to
+  /// band_fingerprint.
+  static std::uint64_t route_fingerprint(TenantId tenant, std::size_t band) noexcept;
+  /// Route-table slot of a (tenant, band) key.
+  static std::size_t route_slot(TenantId tenant, std::size_t band) noexcept {
+    return static_cast<std::size_t>(route_fingerprint(tenant, band) % kRouteSlots);
+  }
+
+  /// One shard's private serving state: its bounded queue, worker pool,
+  /// striped stats and background retrain worker. Only the service mutates
+  /// it; outside the service a shard is a telemetry view.
+  class Shard {
+   public:
+    Shard(const ServiceOptions& options, std::size_t workers, std::vector<int> cpus,
+          RetrainWorker::RunFn run);
+
+    const ServiceStats& stats() const noexcept { return stats_; }
+    /// Planned worker-pool size — the number start() spawns.
+    std::size_t worker_count() const noexcept { return worker_count_; }
+    /// Total CPU time burned by worker threads that have exited, in
+    /// microseconds. Exact only after stop() has joined the pool.
+    std::uint64_t worker_cpu_us() const noexcept {
+      return worker_cpu_us_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    friend class TuningService;
+
+    /// Moves `done` into the queue ONLY on kOk. On Overloaded / ShuttingDown
+    /// the callback is handed back in `done` exactly as passed, so a spill
+    /// retries sibling shards with the same callback — no copy per attempt.
+    Status offer(const Request& request, ResponseCallback& done);
+
+    BoundedQueue<Job> queue_;
+    ServiceStats stats_;
+    RetrainWorker retrain_;
+    const std::size_t worker_count_;
+    /// CPUs worker i pins to (cpus_[i % size]); empty = no pinning.
+    const std::vector<int> cpus_;
+    /// Spawned in start() under the service's lifecycle mutex; joined in
+    /// stop() after the stopped_ handshake (the workers drain the closed
+    /// queue, so a join under the lock could wait on threads still serving).
+    std::vector<std::thread> threads_;
+    /// Summed CPU time of exited workers (relaxed; exact after join).
+    std::atomic<std::uint64_t> worker_cpu_us_{0};
+  };
+
+  /// A one-shard service that spawns exactly `options.workers` workers.
   explicit TuningService(ServiceOptions options = {});
+  /// An N-shard service with a fleet-level worker budget.
+  explicit TuningService(ShardOptions options);
   ~TuningService() override;
 
   TuningService(const TuningService&) = delete;
   TuningService& operator=(const TuningService&) = delete;
 
-  /// See TuningBackend::publish. Fans the snapshot out to every tenant slot
-  /// (each slot stamps its own version); returns tenant 0's new version.
+  /// See TuningBackend::publish. Stamps the snapshot into every tenant slot
+  /// (each slot its own version, with the tenant's tuned table folded in);
+  /// returns tenant 0's new version.
   std::uint64_t publish(ModelSnapshot snapshot) override;
 
   /// Tenant 0's currently published snapshot (null before the first publish).
   std::shared_ptr<const ModelSnapshot> snapshot() const override {
     return registries_[0].get();
   }
-  std::uint64_t model_version() const override;
+  std::uint64_t model_version() const override { return tenant_model_version(0); }
 
   /// Per-tenant views (null / 0 for an out-of-range tenant).
   std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const override {
@@ -119,119 +239,102 @@ class TuningService : public TuningBackend {
   }
   std::uint64_t tenant_model_version(TenantId tenant) const override;
 
-  /// Enables the ObserveWindow endpoint. The tuner (which must outlive this
-  /// service) becomes stale-while-revalidate: its cache misses and
-  /// prefetches are routed to this service's background RetrainWorker, and
-  /// its publish hook is pointed at the snapshot registry, so every freshly
-  /// optimized config is republished as a new snapshot version. Call before
+  /// Enables the ObserveWindow endpoint for tenant 0; see attach_tenant_tuner.
+  void attach_tuner(core::OnlineTuner& tuner) override { attach_tenant_tuner(0, tuner); }
+  /// Wires the tuner serving one tenant namespace (it must outlive this
+  /// service). The tuner becomes stale-while-revalidate: its cache misses
+  /// and prefetches enqueue under the tenant's own retrain key-space on the
+  /// shard that owns the (tenant, band) key, and its publish hook republishes
+  /// every freshly optimized config into the tenant's slot. Call before
   /// start().
-  void attach_tuner(core::OnlineTuner& tuner) override;
+  void attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
-  /// Shard-fleet variant of attach_tuner: makes the shared tuner visible to
-  /// this service's ObserveWindow path WITHOUT claiming the tuner's
-  /// single-slot publish / async-optimize hooks. The ShardedTuningService
-  /// installs fan-out hooks once at the router and then binds the tuner to
-  /// every shard through this. Binds tenant 0.
-  void bind_tuner(core::OnlineTuner& tuner) { bind_tenant_tuner(0, tuner); }
-
-  /// Binds the tuner serving one tenant namespace (the tenant fleet owns one
-  /// OnlineTuner per tenant and binds each to every shard). Pointer only —
-  /// the tuner's single-slot hooks stay with whoever installed them.
-  void bind_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
-
-  /// Directly enqueues a background retrain for tenant 0's `bucket` on this
-  /// service's RetrainWorker (the router's async-optimize fan-out target).
-  void enqueue_retrain(int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(0, bucket), read_ratio);
-  }
-  /// Tenant-qualified retrain: coalesces within the tenant's own key-space,
-  /// never against another tenant's run for the same bucket.
-  void enqueue_retrain(TenantId tenant, int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(tenant, bucket), read_ratio);
-  }
-
-  /// Publishes one tuned (bucket -> config) entry into tenant 0's slot by
-  /// copy-on-write republication of its current snapshot. The single-service
-  /// publish hook and the sharded router's fan-out both land here.
-  void publish_tuned(int bucket, const engine::Config& config, double predicted) {
-    publish_tuned(0, bucket, config, predicted);
-  }
-  /// Tenant-qualified variant: only `tenant`'s slot is republished; every
+  /// Records one tuned (bucket -> config) entry in `tenant`'s tuned table and
+  /// republishes the tenant's current snapshot with it (copy-on-write). Every
   /// other tenant's served snapshot (pointer, version, configs) is untouched.
+  /// Before the tenant's first publish() no version is minted; the entry
+  /// waits in the table.
   void publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
                      double predicted);
 
-  /// See TuningBackend::submit / try_submit.
-  std::future<Response> submit(Request request) override;
+  /// See TuningBackend::try_submit. Routes by (tenant, band), spilling to
+  /// siblings on Overloaded.
   Status try_submit(Request request, ResponseCallback done) override;
 
-  /// Spill-friendly admission: moves `done` into the queue ONLY on kOk. On
-  /// Overloaded / ShuttingDown the callback is handed back in `done`
-  /// exactly as passed, so the sharded router retries sibling shards with
-  /// the same callback — zero copies, zero allocations per attempt (the
-  /// pre-fix router copied the std::function once per attempt, including
-  /// the common no-spill case).
-  Status offer(const Request& request, ResponseCallback& done);
-
-  /// Spawns the worker pool (idempotent). Requests submitted before start()
-  /// wait in the queue.
+  /// Spawns every shard's worker pool and retrain worker, plus the rebalance
+  /// policy thread when configured (idempotent). Requests submitted before
+  /// start() wait in their shard's queue.
   void start() override;
   /// Closes admission, drains the backlog, joins workers. Queued requests
   /// are still answered (drained by the workers, or failed with
   /// ShuttingDown if no worker ever ran). Idempotent.
   void stop() override;
 
-  const ServiceStats& stats() const noexcept override { return stats_; }
-  /// Mutable stats handle for front-ends (the net::Server) that fold their
-  /// wire-level telemetry into the same sink. ServiceStats is internally
+  /// Shard 0's stats: the sink front-ends (net::Server, TenantFleet) fold
+  /// their wire and fleet telemetry into. ServiceStats is internally
   /// synchronized (lock-free striped atomics).
-  ServiceStats& stats() noexcept override { return stats_; }
-  Table stats_table() const override { return stats_.table(); }
-  ServiceStats::Counters endpoint_counters(Endpoint endpoint) const override {
-    return stats_.counters(endpoint);
+  ServiceStats& stats() noexcept override { return shards_.front()->stats_; }
+  const ServiceStats& stats() const noexcept override { return shards_.front()->stats_; }
+
+  /// Merged across shards (sums; a spilled request contributes one
+  /// Overloaded reject at home and one accept at the sibling — spills()
+  /// says how many rejects were absorbed that way).
+  Table stats_table() const override;
+  ServiceStats::Counters endpoint_counters(Endpoint endpoint) const override;
+  ServiceStats::Counters merged_totals() const;
+  ServiceStats::RetrainCounters retrain_counters() const override;
+  double endpoint_latency_quantile(Endpoint endpoint, double q) const override;
+  /// Request-weighted mean micro-batch size across shards.
+  double mean_batch_size() const override;
+  /// Run-weighted mean background-retrain latency across shards.
+  double mean_retrain_latency_us() const override;
+  /// Summed worker CPU time of every shard (exact after stop()).
+  std::uint64_t worker_cpu_us() const noexcept;
+  /// Blocks until every shard's background retrain worker is idle — the
+  /// barrier tests and benches use to observe the post-republish state.
+  void wait_retrain_idle() override;
+
+  std::size_t shard_count() const noexcept { return shards_.size(); }
+  const Shard& shard(std::size_t index) const { return *shards_[index]; }
+  /// Total worker threads across all shards — the sum of every shard's
+  /// worker_count(). Never exceeds max(worker_budget, shards) for an
+  /// explicit budget, nor max(min(hardware_concurrency, shards *
+  /// service.workers), shards) for the derived one (0 when service.workers
+  /// == 0).
+  std::size_t resolved_worker_budget() const noexcept;
+
+  /// Current route of a tenant-0 read ratio / band (lock-free relaxed load).
+  std::size_t shard_of(double read_ratio) const noexcept;
+  std::size_t shard_of_band(std::size_t band) const noexcept;
+  /// Current route of a (tenant, band) key.
+  std::size_t shard_of_key(TenantId tenant, std::size_t band) const noexcept;
+  /// Pins a tenant-0 band to a shard (tests, manual rebalance).
+  void route_band(std::size_t band, std::size_t shard_index) noexcept;
+  /// Pins a (tenant, band) key's route slot to a shard.
+  void route_key(TenantId tenant, std::size_t band, std::size_t shard_index) noexcept;
+
+  /// Migrates the hottest route slot of the most-loaded shard (by routed
+  /// request count) to the least-loaded shard. Returns false when there is
+  /// nothing to move (uniform load, single shard, or no traffic). In-flight
+  /// requests finish on the shard that admitted them; nothing is dropped.
+  bool rebalance_hottest();
+
+  /// Requests absorbed by a sibling shard after a home-shard Overloaded.
+  std::uint64_t spills() const noexcept { return spills_.load(std::memory_order_relaxed); }
+  /// Successful rebalance_hottest() migrations.
+  std::uint64_t rebalances() const noexcept {
+    return rebalances_.load(std::memory_order_relaxed);
   }
-  ServiceStats::RetrainCounters retrain_counters() const override {
-    return stats_.retrain_counters();
-  }
-  double endpoint_latency_quantile(Endpoint endpoint, double q) const override {
-    return stats_.latency_quantile(endpoint, q);
-  }
-  double mean_batch_size() const override { return stats_.mean_batch_size(); }
-  double mean_retrain_latency_us() const override { return stats_.mean_retrain_latency_us(); }
-  std::size_t queue_depth() const { return queue_.size(); }
-  /// Planned worker-pool size (ServiceOptions::workers after any router
-  /// budgeting) — the number start() spawns.
-  std::size_t worker_count() const noexcept { return options_.workers; }
-  /// Total CPU time burned by worker threads that have exited, in
-  /// microseconds. Exact only after stop() has joined the pool; the bench's
-  /// per-shard CPU accounting reads it post-drain.
-  std::uint64_t worker_cpu_us() const noexcept {
-    return worker_cpu_us_.load(std::memory_order_relaxed);
-  }
-  /// Retrain tasks queued behind the background worker.
-  std::size_t retrain_depth() const { return retrain_.depth(); }
-  /// Blocks until the background retrain worker is idle — the barrier tests
-  /// and benches use to observe the post-republish state.
-  void wait_retrain_idle() override { retrain_.wait_idle(); }
-  const ServiceOptions& options() const noexcept { return options_; }
 
  private:
-  struct Job {
-    Request request;
-    /// The single completion channel, armed for every job. submit() adapts
-    /// its future through a shared promise inside a callback; jobs no
-    /// longer carry an eagerly-allocated std::promise shared state (a heap
-    /// allocation per request, paid even on the callback path).
-    ResponseCallback done;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void worker_loop(std::size_t worker_index);
-  void run_single(Job job);
-  void run_predict_batch(std::vector<Job> batch);
-  void finish(Job& job, Response response);
-  Tick now_tick() const { return options_.clock_fn ? options_.clock_fn() : 0; }
-  bool expired(const Request& request, Tick now) const {
+  void worker_loop(Shard& shard, std::size_t worker_index);
+  void run_single(Shard& shard, Job job);
+  void run_predict_batch(Shard& shard, std::vector<Job> batch);
+  static void finish(Shard& shard, Job& job, Response response);
+  void rebalance_loop();
+  ServiceStats::EndpointAggregate merged_aggregate(Endpoint endpoint) const;
+  Tick now_tick() const { return options_.service.clock_fn ? options_.service.clock_fn() : 0; }
+  static bool expired(const Request& request, Tick now) {
     return request.deadline != kNoDeadline && now > request.deadline;
   }
   core::OnlineTuner* tuner_for(TenantId tenant) const noexcept {
@@ -241,7 +344,7 @@ class TuningService : public TuningBackend {
   std::uint64_t publish_locked(TenantId tenant, ModelSnapshot snapshot)
       REQUIRES(publish_mutex_);
 
-  ServiceOptions options_;
+  ShardOptions options_;
   /// Per-tenant snapshot slots, indexed by TenantId (deque: a
   /// SnapshotRegistry is immovable, and the slot set is fixed at
   /// construction). All slots share publish_mutex_; readers are lock-free.
@@ -250,24 +353,36 @@ class TuningService : public TuningBackend {
   /// Per-tenant version counters; each tenant's versions are monotonic in
   /// its own slot (publishes to tenant A never advance tenant B).
   std::vector<std::uint64_t> version_counters_ GUARDED_BY(publish_mutex_);
-  /// Tuned entries published before any real snapshot exists are parked here
-  /// (per tenant) instead of minting a version around a default-constructed,
-  /// untrained ModelSnapshot; the tenant's first real publish folds them in.
-  std::vector<std::map<int, TunedEntry>> pending_tuned_ GUARDED_BY(publish_mutex_);
-  BoundedQueue<Job> queue_;
-  ServiceStats stats_;
-  RetrainWorker retrain_;
-  /// Spawned under lifecycle_mutex_ in start(); joined lock-free in stop()
-  /// after the stopped_ handshake (the workers drain the closed queue, so a
-  /// join under the lock could wait on threads that are still serving).
-  std::vector<std::thread> workers_;
+  /// Per-tenant tuned tables: every entry the tenant's tuner published,
+  /// stamped into each snapshot the tenant publishes (an entry the published
+  /// snapshot already carries wins). Entries published before any real
+  /// snapshot exists wait here instead of minting a version around an
+  /// untrained default ModelSnapshot.
+  std::vector<std::map<int, TunedEntry>> tuned_ GUARDED_BY(publish_mutex_);
+  /// Per-tenant tuner pointers, indexed by TenantId; null until attached.
+  std::deque<std::atomic<core::OnlineTuner*>> tuners_;
+
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// route slot -> shard index. uint8 caps shards at 128 (clamped in the
+  /// ctor); reads are relaxed atomic loads on the submit path, writes only
+  /// from route_key / rebalance_hottest.
+  std::array<std::atomic<std::uint8_t>, kRouteSlots> route_{};
+  /// Per-route-slot routed-request counters (relaxed); rebalance input.
+  std::array<std::atomic<std::uint64_t>, kRouteSlots> slot_hits_{};
+  std::atomic<std::uint64_t> spills_{0};
+  std::atomic<std::uint64_t> rebalances_{0};
+  /// Serializes route-table rewrites (the route_ slots themselves are
+  /// atomics, so they carry no GUARDED_BY — the mutex only orders writers).
+  Mutex rebalance_mutex_;
+
   Mutex lifecycle_mutex_;
+  /// Wakes the rebalance policy thread when stop() flips stopped_.
+  CondVar stop_cv_;
   bool started_ GUARDED_BY(lifecycle_mutex_) = false;
   bool stopped_ GUARDED_BY(lifecycle_mutex_) = false;
-  /// Summed CPU time of exited workers (relaxed; exact after join).
-  std::atomic<std::uint64_t> worker_cpu_us_{0};
-  /// Per-tenant tuner pointers, indexed by TenantId; null until bound.
-  std::deque<std::atomic<core::OnlineTuner*>> tuners_;
+  /// Rebalance policy thread (only when rebalance_interval > 0); spawned in
+  /// start(), joined in stop() after the stopped_ handshake.
+  std::thread rebalance_thread_;
 };
 
 }  // namespace rafiki::serve

@@ -33,6 +33,8 @@ struct TunedEntry {
 struct ModelSnapshot {
   /// Assigned by TuningService::publish; 0 until published.
   std::uint64_t version = 0;
+  /// Copies share the fitted model (SurrogateEnsemble keeps it in one
+  /// immutable block), so copying a snapshot copies a header, not the nets.
   ml::SurrogateEnsemble ensemble;
   /// Parameter subset the ensemble was trained on, in feature order
   /// (after the leading read-ratio feature).
@@ -43,7 +45,9 @@ struct ModelSnapshot {
   std::shared_ptr<const opt::SearchSpace> space;
   /// Read-ratio bucket width of the `tuned` keys.
   double rr_bucket = 0.1;
-  /// Most recent optimized config per bucket, published by OnlineTuner.
+  /// Most recent optimized config per bucket, published by OnlineTuner. The
+  /// service stamps the tenant's whole tuned table into every snapshot the
+  /// tenant publishes, so a full publish never drops a tuned entry.
   std::map<int, TunedEntry> tuned;
 
   /// Surrogate feature row for (workload, configuration) in this snapshot's

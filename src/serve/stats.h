@@ -97,8 +97,9 @@ class ServiceStats {
 
   /// Background-retrain telemetry (the RetrainWorker's counters).
   struct RetrainCounters {
-    std::uint64_t runs = 0;       ///< tasks executed by the worker thread
-    std::uint64_t coalesced = 0;  ///< enqueues absorbed by a pending same-bucket task
+    std::uint64_t runs = 0;       ///< tasks whose run really optimized (a GA ran)
+    std::uint64_t coalesced = 0;  ///< enqueues absorbed by a pending same-bucket task,
+                                  ///< plus tasks that found the work already done
     std::uint64_t rejected = 0;   ///< enqueues dropped on a full retrain queue
     std::uint64_t cancelled = 0;  ///< queued tasks cancelled at shutdown
   };
@@ -153,8 +154,8 @@ class ServiceStats {
   };
 
   /// Merge-on-read view of one endpoint: every stripe of this stats object
-  /// folded together. The sharded router merges these across shards to
-  /// render one fleet-wide table (ShardedTuningService::stats_table).
+  /// folded together. A sharded TuningService merges these across shards to
+  /// render one service-wide table (TuningService::stats_table).
   struct EndpointAggregate {
     explicit EndpointAggregate(const StatsOptions& options);
     Counters counters;
@@ -239,7 +240,7 @@ class ServiceStats {
   /// deadline | p50 | p99 | mean"); render() / to_csv() for output.
   Table table() const;
   /// Renders the standard per-endpoint table from externally merged
-  /// aggregates, one entry per Endpoint in enum order — the sharded router's
+  /// aggregates, one entry per Endpoint in enum order — the sharded service's
   /// merge-on-read output shares the exact layout of a single service.
   static Table table_of(std::span<const EndpointAggregate> per_endpoint);
   /// Wire-level summary ("metric | value" rows: connections, frames, bytes,

@@ -7,7 +7,7 @@ namespace rafiki::tenant {
 FleetOptions TenantFleet::sanitize(FleetOptions options) {
   if (options.tenants == 0) options.tenants = 1;
   // One snapshot slot / version counter / retrain key-space per tenant in
-  // every shard; whatever the caller left in shard.service.tenants is
+  // the service; whatever the caller left in shard.service.tenants is
   // overridden — the fleet is the single source of truth for the tenant set.
   options.shard.service.tenants = options.tenants;
   return options;
@@ -52,23 +52,6 @@ void TenantFleet::attach_tuner(core::OnlineTuner& tuner) {
   router_.attach_tenant_tuner(0, tuner);
 }
 
-std::future<serve::Response> TenantFleet::submit(serve::Request request) {
-  // Future-style submission through the same admission path as try_submit:
-  // a shared promise is fulfilled by the wrapped callback, or inline with
-  // the admission verdict.
-  auto promise = std::make_shared<std::promise<serve::Response>>();
-  auto future = promise->get_future();
-  const serve::Status admitted = try_submit(
-      std::move(request),
-      [promise](serve::Response response) { promise->set_value(std::move(response)); });
-  if (admitted != serve::Status::kOk) {
-    serve::Response response;
-    response.status = admitted;
-    promise->set_value(std::move(response));
-  }
-  return future;
-}
-
 serve::Status TenantFleet::try_submit(serve::Request request,
                                       serve::ResponseCallback done) {
   TenantState* state = registry_.find(request.tenant);
@@ -94,16 +77,16 @@ serve::Status TenantFleet::try_submit(serve::Request request,
   }
   stats.record_tenant_admit();
   // Wrap the completion to release the in-flight slot exactly once. The
-  // registry outlives the router (member order), so `state` stays valid for
-  // as long as any backend callback can fire.
+  // registry outlives the service (member order), so `state` stays valid
+  // for as long as any backend callback can fire.
   auto wrapped = [state, done = std::move(done)](serve::Response response) mutable {
     state->quota.end_request();
     done(std::move(response));
   };
   const serve::Status admitted = router_.try_submit(std::move(request), std::move(wrapped));
   if (admitted != serve::Status::kOk) {
-    // Router-level rejection (all shards full / shutting down): the wrapped
-    // callback will never fire, so the slot is released here.
+    // Service-level rejection (every tried shard full / shutting down): the
+    // wrapped callback will never fire, so the slot is released here.
     state->quota.end_request();
   }
   return admitted;

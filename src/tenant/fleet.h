@@ -1,6 +1,6 @@
 // Multi-tenant fleet serving: one process answers many tenant namespaces
-// from a single sharded backend, with per-tenant models, per-tenant
-// admission quotas, and telemetry-driven rebalance.
+// from a single TuningService, with per-tenant models, per-tenant admission
+// quotas, and telemetry-driven rebalance.
 //
 //   client ──RKF2 frame (tenant t)──▶ net::Server
 //                                        │ try_submit(request{tenant=t})
@@ -9,18 +9,18 @@
 //                                        │   (registry: quota,    (unknown)
 //                                        │    in-flight cap)   ▶ kOverloaded
 //                                        ▼                       (quota)
-//                               ShardedTuningService
+//                                  TuningService
 //                              route (tenant, band) ──▶ shard k
-//                                        │                  │ per-tenant
-//                                        │                  │ snapshot slot,
-//                                        │                  │ retrain keys
-//                                        ▼                  ▼
+//                                        │ per-tenant snapshot slot,
+//                                        │ tuned table, retrain keys
+//                                        ▼
 //                                 per-tenant OnlineTuner (registry-owned)
 //
 // The fleet is a TuningBackend decorator: everything below admission is the
-// sharded router, configured with one snapshot slot / version counter /
-// retrain key-space per tenant. Tenant 0 is the default namespace, so a
-// fleet of one is bit-for-bit the original single-tenant stack.
+// one TuningService, configured with one snapshot slot / version counter /
+// tuned table / retrain key-space per tenant. Tenant 0 is the default
+// namespace, so a fleet of one is bit-for-bit the original single-tenant
+// stack.
 //
 // Admission order is deliberate: registry lookup (unknown tenant -> the
 // typed kNotReady the wire already carries), then the in-flight cap, then
@@ -33,22 +33,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 
 #include "core/online.h"
 #include "serve/backend.h"
-#include "serve/shard.h"
+#include "serve/service.h"
 #include "tenant/registry.h"
 
 namespace rafiki::tenant {
 
 struct FleetOptions {
   /// Tenant namespaces served by this fleet (dense ids [0, tenants)).
-  /// Propagated into every shard's ServiceOptions::tenants, so the inner
+  /// Propagated into the service's ServiceOptions::tenants, so the inner
   /// value in `shard.service` is overwritten.
   std::size_t tenants = 1;
-  /// The inner sharded backend (shard count, per-shard service, spill,
+  /// The inner TuningService (shard count, per-shard options, spill,
   /// rebalance interval).
   serve::ShardOptions shard{};
   /// Per-tenant admission quota. Null (the default) leaves every tenant
@@ -66,9 +65,9 @@ class TenantFleet : public serve::TuningBackend {
   TenantFleet& operator=(const TenantFleet&) = delete;
 
   /// Builds one OnlineTuner per tenant over the shared trained model and
-  /// wires each into the router (per-tenant publish fan-out, per-tenant
-  /// retrain key-space, ObserveWindow binding). `rafiki` must be trained and
-  /// must outlive this fleet. Call before start().
+  /// attaches each to the service (per-tenant republish, per-tenant retrain
+  /// key-space, ObserveWindow binding). `rafiki` must be trained and must
+  /// outlive this fleet. Call before start().
   void attach_rafiki(const core::Rafiki& rafiki,
                      core::OnlineTunerOptions tuner_options = {});
 
@@ -84,8 +83,7 @@ class TenantFleet : public serve::TuningBackend {
   /// pre-fleet surface. Fleets with real tenants use attach_rafiki.
   void attach_tuner(core::OnlineTuner& tuner) override;
 
-  std::future<serve::Response> submit(serve::Request request) override;
-  /// Fleet admission, then the router. Extends the backend's admission
+  /// Fleet admission, then the service. Extends the backend's admission
   /// verdict set with kNotReady for a tenant id outside the fleet (the
   /// net::Server already answers any non-kOk verdict inline as a typed
   /// error-free response, so unknown tenants get a clean wire answer).
@@ -118,15 +116,16 @@ class TenantFleet : public serve::TuningBackend {
   void wait_retrain_idle() override { router_.wait_retrain_idle(); }
 
   /// Fleet admission fairness counters (admitted / quota_rejected /
-  /// inflight_rejected / unknown_tenant), recorded in the router stats.
+  /// inflight_rejected / unknown_tenant), recorded in the service's stats().
   serve::ServiceStats::FleetCounters fleet_counters() const {
     return router_.stats().fleet_counters();
   }
 
   TenantRegistry& registry() noexcept { return registry_; }
   const TenantRegistry& registry() const noexcept { return registry_; }
-  serve::ShardedTuningService& router() noexcept { return router_; }
-  const serve::ShardedTuningService& router() const noexcept { return router_; }
+  /// The TuningService below admission.
+  serve::TuningService& router() noexcept { return router_; }
+  const serve::TuningService& router() const noexcept { return router_; }
   /// The tenant's own tuner (null before attach_rafiki / unknown tenant).
   core::OnlineTuner* tuner(serve::TenantId tenant) noexcept {
     TenantState* state = registry_.find(tenant);
@@ -140,10 +139,10 @@ class TenantFleet : public serve::TuningBackend {
 
   FleetOptions options_;
   /// Declared before router_: response callbacks wrapped by try_submit hold
-  /// TenantState pointers and may fire as late as the router's destructor
-  /// drain, so the registry (and its quotas/tuners) must outlive the router.
+  /// TenantState pointers and may fire as late as the service's destructor
+  /// drain, so the registry (and its quotas/tuners) must outlive the service.
   TenantRegistry registry_;
-  serve::ShardedTuningService router_;
+  serve::TuningService router_;
 };
 
 }  // namespace rafiki::tenant

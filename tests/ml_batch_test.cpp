@@ -5,6 +5,7 @@
 // (exact bits), not EXPECT_NEAR.
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -109,6 +110,37 @@ TEST_F(EnsembleBatch, EmptyBatchIsEmpty) {
   const std::vector<std::vector<double>> no_rows;
   EXPECT_TRUE(ensemble_.predict_batch(no_rows).empty());
   EXPECT_TRUE(ensemble_.predict_batch_with_uncertainty(no_rows).empty());
+}
+
+TEST_F(EnsembleBatch, CopySharesTheModelAndARefitCannotReachIt) {
+  // A copy shares the fitted block: no member net is duplicated.
+  const SurrogateEnsemble copy = ensemble_;
+  EXPECT_EQ(copy.nets().data(), ensemble_.nets().data());
+  const auto before = copy.predict_batch(queries_);
+
+  // Refit the original on different data. fit() swaps in a new block, so the
+  // copy keeps predicting with the model it was taken from, to the bit.
+  Rng rng(77);
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<double> row = {rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0),
+                               rng.uniform(-2.0, 2.0)};
+    x.push_back(row);
+    y.push_back(-row[0] + 2.0 * row[2]);
+  }
+  EnsembleOptions options;
+  options.n_nets = 3;
+  options.hidden = {5};
+  options.train.max_epochs = 20;
+  options.seed = 99;
+  ensemble_.fit(x, y, options);
+  ASSERT_NE(ensemble_.nets().data(), copy.nets().data());
+  ASSERT_NE(ensemble_.predict_batch(queries_), before);
+
+  const auto after = copy.predict_batch(queries_);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(std::memcmp(after.data(), before.data(), before.size() * sizeof(double)), 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the host's best variant, so without these tests an AVX-512 machine would
 // never execute the AVX2 paths (and vice versa). A variant the CPU cannot
 // run is skipped.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -42,9 +43,7 @@ class KernelVariant : public ::testing::TestWithParam<Isa> {
 
 TEST_P(KernelVariant, FastTanhBlockMatchesScalarFastTanh) {
   // Lengths straddle every vector width (tails included); the values cover
-  // the clamp at |2x| = 44, infinities, signed zeros and subnormals. NaN is
-  // not covered: the SIMD clamp (min/max) turns it into 1.0 where the scalar
-  // ternaries keep NaN, a known gap in the inference kernels (ROADMAP.md).
+  // the clamp at |2x| = 44, infinities, signed zeros and subnormals.
   auto values = uniform(203, -25.0, 25.0, 17);
   const double specials[] = {0.0,
                              -0.0,
@@ -114,6 +113,36 @@ TEST_P(KernelVariant, GramMatchesScalarRankOneUpdates) {
     std::vector<double> got(expected.size(), std::numeric_limits<double>::quiet_NaN());
     kernels::gram_isa(GetParam(), x.data(), c.rows, c.cols, got.data());
     EXPECT_TRUE(same_bits(got, expected)) << c.rows << " x " << c.cols;
+  }
+}
+
+TEST_P(KernelVariant, FastTanhBlockKeepsNaNAndClampsInfinityInEveryLane) {
+  // The SIMD clamp must not turn NaN into a bound: a NaN in any lane of a
+  // full vector, or in the scalar tail, comes out NaN like scalar fast_tanh,
+  // and +-inf clamp to exactly the scalar +-1. Every other lane keeps its
+  // bits. Length 19 covers two AVX-512 vectors plus a 3-element tail.
+  constexpr std::size_t kLen = 19;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(std::isnan(fast_tanh(nan)));
+  const auto base = uniform(kLen, -3.0, 3.0, 29);
+  for (const double special : {nan, inf, -inf}) {
+    for (std::size_t lane = 0; lane < kLen; ++lane) {
+      std::vector<double> expected = base;
+      expected[lane] = special;
+      for (auto& x : expected) x = fast_tanh(x);
+      std::vector<double> got = base;
+      got[lane] = special;
+      kernels::fast_tanh_block_isa(GetParam(), got.data(), kLen);
+      for (std::size_t i = 0; i < kLen; ++i) {
+        if (std::isnan(expected[i])) {
+          EXPECT_TRUE(std::isnan(got[i])) << "lane " << lane << " element " << i;
+        } else {
+          EXPECT_EQ(std::memcmp(&got[i], &expected[i], sizeof(double)), 0)
+              << special << " in lane " << lane << ", element " << i;
+        }
+      }
+    }
   }
 }
 

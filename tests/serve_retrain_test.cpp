@@ -1,13 +1,16 @@
 // RetrainWorker and the stale-while-revalidate ObserveWindow path: lifecycle
 // edges (stop-before-start, stop with a retrain in flight, drain vs cancel),
-// per-bucket coalescing of duplicate requests into one GA run, the
-// stale-then-fresh window sequence under an injected clock, tuned entries
-// buffered until the first real snapshot publish, and the tuner's internal
-// synchronization under concurrent on_window/prefetch callers (a tsan probe).
+// per-bucket coalescing of duplicate requests into one GA run (a memo-hit
+// task counts as coalesced, not as a run), the stale-then-fresh window
+// sequence under an injected clock, tuned entries buffered until the first
+// real snapshot publish and kept across later full publishes, and the
+// tuner's internal synchronization under concurrent on_window/prefetch
+// callers (a tsan probe).
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <mutex>
@@ -32,10 +35,11 @@ namespace {
 class WorkerHarness {
  public:
   RetrainWorker::RunFn fn() {
-    return [this](int bucket, double /*read_ratio*/) {
+    return [this](std::uint64_t bucket, double /*read_ratio*/) {
       gate_.wait();
       std::lock_guard<std::mutex> lock(mutex_);
-      ++runs_[bucket];
+      ++runs_[static_cast<int>(bucket)];
+      return true;
     };
   }
 
@@ -187,6 +191,27 @@ TEST(RetrainWorker, SameBucketRequestsCoalesceIntoOneRun) {
   worker.stop();
 }
 
+TEST(RetrainWorker, RunThatFindsTheWorkDoneCountsAsCoalescedNotRun) {
+  // A task can start after a run for its bucket already finished (enqueued
+  // just before that run cleared its pending key); the run function then
+  // reports that no optimization ran — the memo cache held the bucket.
+  ServiceStats stats;
+  RetrainWorker worker([](std::uint64_t key, double /*read_ratio*/) { return key != 2; },
+                       {}, &stats);
+  const auto ran = worker.enqueue(1, 0.1);
+  const auto memo_hit = worker.enqueue(2, 0.2);
+  worker.start();
+  worker.wait_idle();
+
+  EXPECT_EQ(ran.done.get(), RetrainOutcome::kCompleted);
+  EXPECT_EQ(memo_hit.done.get(), RetrainOutcome::kCompleted);
+  const auto counters = stats.retrain_counters();
+  EXPECT_EQ(counters.runs, 1u);
+  EXPECT_EQ(counters.coalesced, 1u);
+  EXPECT_EQ(counters.cancelled, 0u);
+  worker.stop();
+}
+
 TEST(RetrainWorker, FullQueueRejectsButCoalescingStillWins) {
   WorkerHarness harness;
   ServiceStats stats;
@@ -332,6 +357,43 @@ TEST_F(ServeRetrain, TunedEntriesBufferUntilFirstRealPublish) {
   const auto snapshot = service.snapshot();
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->tuned.count(tuner.bucket_for(0.2)), 1u);
+  service.stop();
+}
+
+TEST_F(ServeRetrain, FullPublishKeepsTheTenantsTunedEntries) {
+  ServiceOptions options;
+  options.workers = 1;
+  core::OnlineTuner tuner(*rafiki_);
+  TuningService service(options);
+  service.publish(make_snapshot(*rafiki_));
+  service.attach_tuner(tuner);
+  service.start();
+
+  // Tune bucket 0.8 in the background: version 2 carries the entry.
+  ASSERT_TRUE(service.call(window_request(0.8)).stale);
+  service.wait_retrain_idle();
+  const int bucket = tuner.bucket_for(0.8);
+  ASSERT_EQ(service.model_version(), 2u);
+  const TunedEntry tuned = service.snapshot()->tuned.at(bucket);
+
+  // A full republish (the model-refresh path) must not drop it: the tuner
+  // still caches and serves that config.
+  EXPECT_EQ(service.publish(make_snapshot(*rafiki_)), 3u);
+  const auto snapshot = service.snapshot();
+  ASSERT_EQ(snapshot->tuned.count(bucket), 1u);
+  EXPECT_EQ(snapshot->tuned.at(bucket).config, tuned.config);
+  EXPECT_EQ(snapshot->tuned.at(bucket).predicted_throughput, tuned.predicted_throughput);
+  const auto window = service.call(window_request(0.8));
+  ASSERT_TRUE(window.ok());
+  EXPECT_FALSE(window.stale);
+  EXPECT_EQ(window.config, tuned.config);
+
+  // Where the published snapshot carries its own entry, that entry wins.
+  auto own = make_snapshot(*rafiki_);
+  own.tuned[bucket] = TunedEntry{engine::Config::defaults(), 1.0};
+  EXPECT_EQ(service.publish(std::move(own)), 4u);
+  EXPECT_EQ(service.snapshot()->tuned.at(bucket).predicted_throughput, 1.0);
+  EXPECT_EQ(tuner.optimizer_runs(), 1u);
   service.stop();
 }
 

@@ -1,8 +1,8 @@
-// ShardedTuningService: stable band->shard routing across restarts, per-shard
-// admission isolation, spill-to-sibling on overload, hot-band rebalance,
-// lockstep publish fan-out, sharded-vs-unsharded bit parity, and the striped
-// ServiceStats merge-on-read contract under concurrent writers (the latter is
-// the suite's tsan probe).
+// Sharded TuningService: stable band->shard routing across restarts,
+// per-shard admission isolation, spill-to-sibling on overload, hot-band
+// rebalance, one shared model behind every tenant slot, sharded-vs-unsharded
+// bit parity, and the striped ServiceStats merge-on-read contract under
+// concurrent writers (the latter is the suite's tsan probe).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -15,7 +15,6 @@
 #include "core/rafiki.h"
 #include "engine/params.h"
 #include "serve/service.h"
-#include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "serve/stats.h"
 
@@ -59,12 +58,12 @@ class ServeShard : public ::testing::Test {
   /// First band routed to `shard` (every shard owns at least one of the 101
   /// bands for shard counts up to 101 only probabilistically — the tests
   /// assert the lookup succeeded).
-  static std::size_t band_on_shard(const ShardedTuningService& service,
+  static std::size_t band_on_shard(const TuningService& service,
                                    std::size_t shard) {
-    for (std::size_t band = 0; band < ShardedTuningService::kBands; ++band) {
+    for (std::size_t band = 0; band < TuningService::kBands; ++band) {
       if (service.shard_of_band(band) == shard) return band;
     }
-    return ShardedTuningService::kBands;  // not found
+    return TuningService::kBands;  // not found
   }
 
   static core::Rafiki* rafiki_;
@@ -73,28 +72,28 @@ class ServeShard : public ::testing::Test {
 core::Rafiki* ServeShard::rafiki_ = nullptr;
 
 TEST_F(ServeShard, BandOfQuantizesToPercentAndClamps) {
-  EXPECT_EQ(ShardedTuningService::band_of(0.0), 0u);
-  EXPECT_EQ(ShardedTuningService::band_of(1.0), 100u);
-  EXPECT_EQ(ShardedTuningService::band_of(0.254), 25u);
-  EXPECT_EQ(ShardedTuningService::band_of(0.255), 26u);  // round, not floor
-  EXPECT_EQ(ShardedTuningService::band_of(-3.0), 0u);
-  EXPECT_EQ(ShardedTuningService::band_of(7.0), 100u);
+  EXPECT_EQ(TuningService::band_of(0.0), 0u);
+  EXPECT_EQ(TuningService::band_of(1.0), 100u);
+  EXPECT_EQ(TuningService::band_of(0.254), 25u);
+  EXPECT_EQ(TuningService::band_of(0.255), 26u);  // round, not floor
+  EXPECT_EQ(TuningService::band_of(-3.0), 0u);
+  EXPECT_EQ(TuningService::band_of(7.0), 100u);
 }
 
 TEST_F(ServeShard, RoutingIsStableAcrossRestarts) {
   // The fingerprint is a pure function of the band index, so two
   // independently constructed routers (a "restart") agree on every band.
-  for (std::size_t band = 0; band < ShardedTuningService::kBands; ++band) {
-    EXPECT_EQ(ShardedTuningService::band_fingerprint(band),
-              ShardedTuningService::band_fingerprint(band));
+  for (std::size_t band = 0; band < TuningService::kBands; ++band) {
+    EXPECT_EQ(TuningService::band_fingerprint(band),
+              TuningService::band_fingerprint(band));
   }
   for (std::size_t shards : {2u, 4u, 7u}) {
     ShardOptions options;
     options.shards = shards;
     options.service.workers = 0;
-    ShardedTuningService first(options);
-    ShardedTuningService second(options);
-    for (std::size_t band = 0; band < ShardedTuningService::kBands; ++band) {
+    TuningService first(options);
+    TuningService second(options);
+    for (std::size_t band = 0; band < TuningService::kBands; ++band) {
       EXPECT_EQ(first.shard_of_band(band), second.shard_of_band(band))
           << "band " << band << " with " << shards << " shards";
       EXPECT_LT(first.shard_of_band(band), shards);
@@ -106,7 +105,7 @@ TEST_F(ServeShard, RouteTableOverridePinsABand) {
   ShardOptions options;
   options.shards = 4;
   options.service.workers = 0;
-  ShardedTuningService service(options);
+  TuningService service(options);
   service.route_band(50, 2);
   EXPECT_EQ(service.shard_of_band(50), 2u);
   EXPECT_EQ(service.shard_of(0.50), 2u);
@@ -122,14 +121,14 @@ TEST_F(ServeShard, OverloadIsIsolatedPerShard) {
   options.spill_limit = 0;  // no spill: overload must stay on its shard
   options.service.workers = 0;  // nobody drains: queues stay as we fill them
   options.service.queue_capacity = 1;
-  ShardedTuningService service(options);
+  TuningService service(options);
   service.publish(make_snapshot(*rafiki_));
   service.start();
 
   const std::size_t band_a = band_on_shard(service, 0);
   const std::size_t band_b = band_on_shard(service, 1);
-  ASSERT_LT(band_a, ShardedTuningService::kBands);
-  ASSERT_LT(band_b, ShardedTuningService::kBands);
+  ASSERT_LT(band_a, TuningService::kBands);
+  ASSERT_LT(band_b, TuningService::kBands);
   const double rr_a = static_cast<double>(band_a) / 100.0;
   const double rr_b = static_cast<double>(band_b) / 100.0;
 
@@ -154,12 +153,12 @@ TEST_F(ServeShard, SpillAbsorbsOverloadOnASibling) {
   options.spill_limit = 1;
   options.service.workers = 0;
   options.service.queue_capacity = 1;
-  ShardedTuningService service(options);
+  TuningService service(options);
   service.publish(make_snapshot(*rafiki_));
   service.start();
 
   const std::size_t band = band_on_shard(service, 0);
-  ASSERT_LT(band, ShardedTuningService::kBands);
+  ASSERT_LT(band, TuningService::kBands);
   const double rr = static_cast<double>(band) / 100.0;
 
   auto home = service.submit(predict_request(rr));     // fills shard 0
@@ -182,7 +181,7 @@ TEST_F(ServeShard, RebalanceMigratesTheHottestBand) {
   ShardOptions options;
   options.shards = 4;
   options.service.workers = 1;
-  ShardedTuningService service(options);
+  TuningService service(options);
   service.publish(make_snapshot(*rafiki_));
   service.start();
 
@@ -205,33 +204,39 @@ TEST_F(ServeShard, RebalanceDeclinesWhenNothingImproves) {
   ShardOptions options;
   options.shards = 2;
   options.service.workers = 0;
-  ShardedTuningService service(options);
+  TuningService service(options);
   // No traffic at all: nothing to move.
   EXPECT_FALSE(service.rebalance_hottest());
   EXPECT_EQ(service.rebalances(), 0u);
 }
 
-TEST_F(ServeShard, PublishFansOutInLockstep) {
+TEST_F(ServeShard, PublishSharesOneModelAcrossTenantsAndShards) {
+  // One publish on a 64-tenant x 4-shard service: every tenant slot holds a
+  // snapshot whose ensemble is the trained pipeline's own fitted block —
+  // no member net is copied, whatever the tenant or shard count.
   ShardOptions options;
-  options.shards = 3;
+  options.shards = 4;
+  options.service.tenants = 64;
   options.service.workers = 0;
-  ShardedTuningService service(options);
+  TuningService service(options);
   EXPECT_EQ(service.publish(make_snapshot(*rafiki_)), 1u);
-  for (std::size_t i = 0; i < service.shard_count(); ++i) {
-    EXPECT_EQ(service.shard(i).model_version(), 1u);
+  const auto* nets = rafiki_->surrogate().nets().data();
+  for (TenantId t = 0; t < 64; ++t) {
+    const auto snapshot = service.tenant_snapshot(t);
+    ASSERT_NE(snapshot, nullptr) << "tenant " << t;
+    EXPECT_EQ(snapshot->ensemble.nets().data(), nets) << "tenant " << t;
+    EXPECT_EQ(snapshot->version, 1u) << "tenant " << t;
   }
   EXPECT_EQ(service.publish(make_snapshot(*rafiki_)), 2u);
-  EXPECT_EQ(service.model_version(), 2u);
-  for (std::size_t i = 0; i < service.shard_count(); ++i) {
-    EXPECT_EQ(service.shard(i).model_version(), 2u);
-  }
+  EXPECT_EQ(service.tenant_model_version(63), 2u);
+  EXPECT_EQ(service.tenant_snapshot(63)->ensemble.nets().data(), nets);
 }
 
 TEST_F(ServeShard, ShardedPredictMatchesUnshardedBitForBit) {
   ShardOptions sharded_options;
   sharded_options.shards = 3;
   sharded_options.service.workers = 1;
-  ShardedTuningService sharded(sharded_options);
+  TuningService sharded(sharded_options);
   sharded.publish(make_snapshot(*rafiki_));
   sharded.start();
 
@@ -252,7 +257,7 @@ TEST(ShardWorkerBudget, ExplicitBudgetDividesDeterministically) {
   ShardOptions options;
   options.shards = 4;
   options.worker_budget = 6;
-  ShardedTuningService service(options);
+  TuningService service(options);
   EXPECT_EQ(service.shard(0).worker_count(), 2u);
   EXPECT_EQ(service.shard(1).worker_count(), 2u);
   EXPECT_EQ(service.shard(2).worker_count(), 1u);
@@ -266,7 +271,7 @@ TEST(ShardWorkerBudget, ExplicitBudgetFloorsAtOneWorkerPerShard) {
   ShardOptions options;
   options.shards = 4;
   options.worker_budget = 2;
-  ShardedTuningService service(options);
+  TuningService service(options);
   for (std::size_t i = 0; i < service.shard_count(); ++i) {
     EXPECT_EQ(service.shard(i).worker_count(), 1u) << "shard " << i;
   }
@@ -282,13 +287,13 @@ TEST(ShardWorkerBudget, DerivedBudgetNeverOversubscribesTheMachine) {
     ShardOptions options;
     options.shards = shards;
     options.service.workers = 4;
-    ShardedTuningService service(options);
+    TuningService service(options);
     const std::size_t total = service.resolved_worker_budget();
     EXPECT_LE(total, std::max(hw, shards)) << shards << " shards";
     EXPECT_GE(total, shards) << shards << " shards";
     EXPECT_LE(total, shards * options.service.workers) << shards << " shards";
     // Deterministic for a fixed config on a fixed machine.
-    ShardedTuningService again(options);
+    TuningService again(options);
     EXPECT_EQ(again.resolved_worker_budget(), total) << shards << " shards";
   }
 }
@@ -299,7 +304,7 @@ TEST(ShardWorkerBudget, ZeroWorkersStaysZeroEverywhere) {
   ShardOptions options;
   options.shards = 4;
   options.service.workers = 0;
-  ShardedTuningService service(options);
+  TuningService service(options);
   for (std::size_t i = 0; i < service.shard_count(); ++i) {
     EXPECT_EQ(service.shard(i).worker_count(), 0u) << "shard " << i;
   }
@@ -314,7 +319,7 @@ TEST_F(ServeShard, ParityHoldsUnderBudgetAndPinning) {
   sharded_options.shards = 3;
   sharded_options.worker_budget = 4;  // splits {2, 1, 1}
   sharded_options.pin_shards = true;
-  ShardedTuningService sharded(sharded_options);
+  TuningService sharded(sharded_options);
   sharded.publish(make_snapshot(*rafiki_));
   sharded.start();
 
@@ -331,7 +336,7 @@ TEST_F(ServeShard, MergedCountersSpanAllShards) {
   ShardOptions options;
   options.shards = 4;
   options.service.workers = 1;
-  ShardedTuningService service(options);
+  TuningService service(options);
   service.publish(make_snapshot(*rafiki_));
   service.start();
 

@@ -16,7 +16,6 @@
 #include "core/rafiki.h"
 #include "engine/params.h"
 #include "serve/service.h"
-#include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "tenant/fleet.h"
 #include "tenant/quota.h"
@@ -379,7 +378,7 @@ TEST_F(TenantFleetServing, RebalanceRacesPublishAndTrafficCleanly) {
   // route table still maps every key to a live shard.
   for (serve::TenantId t = 0; t < 4; ++t) {
     EXPECT_NE(fleet.tenant_snapshot(t), nullptr);
-    for (std::size_t band = 0; band < serve::ShardedTuningService::kBands; ++band) {
+    for (std::size_t band = 0; band < serve::TuningService::kBands; ++band) {
       EXPECT_LT(fleet.router().shard_of_key(t, band), fleet.router().shard_count());
     }
   }

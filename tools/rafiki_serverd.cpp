@@ -12,12 +12,12 @@
 // epoll on Linux, the portable poll() fallback elsewhere); the drain report
 // names the backend that actually served.
 //
-// --shards N (N > 1) serves through the ShardedTuningService router —
-// per-(tenant, read-ratio-band) shards, each with its own queue/workers/
-// batcher — and prints the cross-shard merged stats table on drain.
-// --worker-budget N caps the fleet's total worker threads (divided across
-// shards; default derives from --workers capped at the hardware threads) and
-// --pin-shards pins each shard's workers to a contiguous CPU range.
+// --shards N splits the TuningService into N per-(tenant, read-ratio-band)
+// shards, each with its own queue/workers/batcher, and the drain report
+// prints the cross-shard merged stats table. --worker-budget N caps the
+// total worker threads (divided across shards; default derives from
+// --workers capped at the hardware threads) and --pin-shards pins each
+// shard's workers to a contiguous CPU range.
 //
 // --tenants N (N > 1) serves a multi-tenant fleet (tenant::TenantFleet):
 // each tenant gets its own model slot and OnlineTuner, requests route by the
@@ -39,7 +39,6 @@
 #include "engine/params.h"
 #include "net/server.h"
 #include "serve/service.h"
-#include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "tenant/fleet.h"
 
@@ -131,35 +130,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serve::ServiceOptions service_options;
-  service_options.workers = workers;
-  core::OnlineTuner tuner(rafiki);  // tenant-0 tuner for the non-fleet paths
+  serve::ShardOptions shard_options;
+  shard_options.shards = shards;
+  shard_options.service.workers = workers;
+  shard_options.worker_budget = worker_budget;
+  shard_options.pin_shards = pin_shards;
+  core::OnlineTuner tuner(rafiki);  // tenant-0 tuner when no fleet is served
   std::unique_ptr<serve::TuningBackend> backend;
   tenant::TenantFleet* fleet = nullptr;
   if (tenants > 1) {
     tenant::FleetOptions fleet_options;
     fleet_options.tenants = tenants;
-    fleet_options.shard.shards = shards;
-    fleet_options.shard.service = service_options;
-    fleet_options.shard.worker_budget = worker_budget;
-    fleet_options.shard.pin_shards = pin_shards;
+    fleet_options.shard = shard_options;
     auto owned = std::make_unique<tenant::TenantFleet>(fleet_options);
     owned->attach_rafiki(rafiki);
     fleet = owned.get();
     backend = std::move(owned);
-  } else if (shards > 1) {
-    serve::ShardOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.service = service_options;
-    shard_options.worker_budget = worker_budget;
-    shard_options.pin_shards = pin_shards;
-    backend = std::make_unique<serve::ShardedTuningService>(shard_options);
   } else {
-    backend = std::make_unique<serve::TuningService>(service_options);
+    backend = std::make_unique<serve::TuningService>(shard_options);
+    backend->attach_tuner(tuner);
   }
   serve::TuningBackend& service = *backend;
   service.publish(serve::make_snapshot(rafiki));
-  if (fleet == nullptr) service.attach_tuner(tuner);
   service.start();
 
   net::ServerOptions server_options;
@@ -230,8 +222,8 @@ int main(int argc, char** argv) {
               after.frames_per_flush(), after.flush_syscalls_per_frame(),
               static_cast<unsigned long long>(after.flush_eagain));
 
-  // stats_table() merges across shards for the sharded backend; wire-level
-  // telemetry always lives in the backend's front-end stats object.
+  // stats_table() merges across shards; wire-level telemetry lives in the
+  // backend's front-end stats object.
   std::printf("\n=== request stats ===\n%s", service.stats_table().render().c_str());
   std::printf("\n=== wire stats ===\n%s", service.stats().wire_table().render().c_str());
   if (fleet != nullptr) {

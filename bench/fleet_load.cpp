@@ -6,8 +6,8 @@
 //      the RKF2 header) hammer a TenantFleet through real sockets. Every
 //      trace walks the paper's dynamic-workload schedule, offset per tenant
 //      so regime storms hit all tenants at once; ObserveWindow misses are
-//      answered stale-marked while each tenant's own RetrainWorker
-//      republishes into that tenant's snapshot slot. Gates: zero failed
+//      answered stale-marked while the service's retrain lane, keyed per
+//      tenant, republishes into that tenant's snapshot slot. Gates: zero failed
 //      calls, zero decode errors, frames_in == frames_out (nothing lost on
 //      the wire), zero admission rejects (no quotas configured), and every
 //      tenant's model version advanced — per-tenant retrain fan-out is real.
@@ -146,7 +146,7 @@ double exact_quantile(std::vector<double> samples, double q) {
 
 /// One regime-switching tenant trace: every `window_every` calls the trace
 /// opens a new read-ratio regime with one ObserveWindow (stale-marked on a
-/// cache miss; the tenant's own RetrainWorker republishes behind it), then
+/// cache miss; the retrain lane republishes behind it), then
 /// fills the window with pipelined Predict bursts against that regime.
 void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
                   std::size_t pipeline, std::size_t window_every,

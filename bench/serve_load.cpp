@@ -13,7 +13,7 @@
 //      clients hammer Predict; the bar is zero failed or blocked requests.
 //   D. Regime changes in the closed loop — clients mix ObserveWindow calls
 //      (cycling through read-ratio regimes, so the tuner keeps missing its
-//      memo cache) into the Predict stream. With the async RetrainWorker,
+//      memo cache) into the Predict stream. With the async retrain lane,
 //      every miss is answered immediately with a stale-marked config while
 //      the GA runs in the background and republishes; the bars are zero
 //      failures, stale-marked cache misses, tuned configs appearing in later

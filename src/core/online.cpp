@@ -91,28 +91,21 @@ bool OnlineTuner::run_optimize(double read_ratio) {
   {
     MutexLock lock(mutex_);
     if (cache_.count(bucket) != 0) return false;  // coalesced: already optimized
-    if (in_flight_.count(bucket) != 0) {
-      // Another thread is mid-GA for this bucket; wait for its result so
-      // callers relying on inline semantics observe a warm cache on return.
-      while (in_flight_.count(bucket) != 0) optimize_done_.wait(mutex_);
-      return false;
-    }
-    in_flight_.insert(bucket);
   }
 
   // The expensive part runs with no lock held: decisions and other buckets'
-  // optimizations proceed concurrently.
+  // optimizations proceed concurrently. The serve layer's retrain lane never
+  // runs one bucket on two threads; concurrent inline callers may, and the
+  // first result to land wins.
   const Rafiki::OptimizeResult result = rafiki_->optimize(read_ratio);
 
   PublishHook publish;
   {
     MutexLock lock(mutex_);
-    in_flight_.erase(bucket);
-    cache_.emplace(bucket, result);
     ++optimizer_runs_;
+    if (!cache_.emplace(bucket, result).second) return true;
     publish = publish_;
   }
-  optimize_done_.notify_all();
   if (publish) publish(bucket, result);
   return true;
 }

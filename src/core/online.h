@@ -13,14 +13,15 @@
 // search with no tuner lock held. on_window() composes the two — inline when
 // standalone (the replay-harness shape), or stale-while-revalidate when an
 // async-optimize hook routes misses to a background worker (the serve
-// layer's RetrainWorker). All shared state is internally synchronized, so
-// concurrent on_window / prefetch / run_optimize callers are safe.
+// layer's retrain lane, which never runs one bucket on two threads at once).
+// All shared state is internally synchronized, so concurrent on_window /
+// prefetch / run_optimize callers are safe; concurrent inline misses on one
+// bucket may each run the GA, and the first result to land is kept.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <set>
 
 #include "core/rafiki.h"
 #include "util/sync.h"
@@ -65,9 +66,10 @@ class OnlineTuner {
 
   /// Runs the GA for this read ratio's bucket and installs the result in the
   /// memo cache (firing the publish hook). The search itself holds no tuner
-  /// lock, so decisions keep flowing while it runs. Returns false when the
-  /// call coalesced away — the bucket was already cached, or another thread
-  /// was mid-optimization for it (in which case this waits for that result).
+  /// lock, so decisions keep flowing while it runs. Returns false, without
+  /// searching, when the bucket is already cached. If a concurrent call
+  /// cached the bucket mid-search, its result is kept and this one's is
+  /// dropped (the GA still ran, so this returns true).
   bool run_optimize(double read_ratio);
 
   /// Pre-computes (and caches) the optimized configuration for a forecast
@@ -92,7 +94,7 @@ class OnlineTuner {
 
   /// When set, cache misses (on_window / prefetch) are delegated here
   /// instead of optimizing inline — the serve layer points this at its
-  /// RetrainWorker so no GA ever runs on a request-path thread.
+  /// retrain lane so no GA ever runs on a request-path thread.
   using AsyncOptimizeHook = std::function<void(int bucket, double read_ratio)>;
   void set_async_optimize_hook(AsyncOptimizeHook hook);
 
@@ -112,13 +114,10 @@ class OnlineTuner {
   OnlineTunerOptions options_;
 
   mutable Mutex mutex_;
-  CondVar optimize_done_;
   PublishHook publish_ GUARDED_BY(mutex_);
   AsyncOptimizeHook async_optimize_ GUARDED_BY(mutex_);
   /// bucket -> optimized result
   std::map<int, Rafiki::OptimizeResult> cache_ GUARDED_BY(mutex_);
-  /// buckets currently being optimized (lock dropped for the GA itself)
-  std::set<int> in_flight_ GUARDED_BY(mutex_);
   engine::Config current_ GUARDED_BY(mutex_) = engine::Config::defaults();
   /// RR the current config was chosen for.
   double current_rr_ GUARDED_BY(mutex_) = -1.0;

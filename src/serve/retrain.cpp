@@ -1,64 +1,53 @@
 #include "serve/retrain.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
 namespace rafiki::serve {
 
-RetrainWorker::RetrainWorker(RunFn run, RetrainOptions options, ServiceStats* stats)
-    : run_(std::move(run)), options_(options), stats_(stats) {}
+RetrainWorker::RetrainWorker(RunFn run, std::size_t threads, ServiceStats* stats)
+    : run_(std::move(run)),
+      thread_count_(std::max<std::size_t>(threads, 1)),
+      capacity_(kQueuePerThread * thread_count_),
+      stats_(stats) {}
 
-RetrainWorker::~RetrainWorker() { stop(/*drain=*/false); }
+RetrainWorker::~RetrainWorker() { stop(); }
 
-RetrainWorker::Ticket RetrainWorker::finished_ticket(RetrainEnqueue result) {
-  Ticket ticket;
-  ticket.result = result;
-  std::promise<RetrainOutcome> promise;
-  ticket.done = promise.get_future().share();
-  promise.set_value(RetrainOutcome::kCancelled);
-  return ticket;
-}
-
-RetrainWorker::Ticket RetrainWorker::enqueue(std::uint64_t key, double read_ratio) {
-  Ticket ticket;
+RetrainEnqueue RetrainWorker::enqueue(std::uint64_t key, double read_ratio) {
+  RetrainEnqueue result = RetrainEnqueue::kEnqueued;
   std::size_t depth_after = 0;
   {
     MutexLock lock(mutex_);
-    if (stopping_ || stopped_) return finished_ticket(RetrainEnqueue::kStopped);
-    const auto pending = pending_.find(key);
-    if (pending != pending_.end()) {
-      ticket.result = RetrainEnqueue::kCoalesced;
-      ticket.done = pending->second;
-    } else if (tasks_.size() >= options_.queue_capacity) {
-      ticket = finished_ticket(RetrainEnqueue::kRejected);
+    if (stopping_) {
+      result = RetrainEnqueue::kStopped;
+    } else if (pending_.count(key) != 0) {
+      result = RetrainEnqueue::kCoalesced;
+    } else if (tasks_.size() >= capacity_) {
+      result = RetrainEnqueue::kRejected;
     } else {
-      Task task;
-      task.key = key;
-      task.read_ratio = read_ratio;
-      task.future = task.promise.get_future().share();
-      pending_.emplace(key, task.future);
-      ticket.result = RetrainEnqueue::kEnqueued;
-      ticket.done = task.future;
-      tasks_.push_back(std::move(task));
+      pending_.insert(key);
+      tasks_.push_back(Task{key, read_ratio});
       depth_after = tasks_.size();
     }
   }
-  if (ticket.result == RetrainEnqueue::kEnqueued) {
+  if (result == RetrainEnqueue::kEnqueued) {
     ready_.notify_one();
     if (stats_) stats_->record_retrain_enqueue(depth_after);
-  } else if (ticket.result == RetrainEnqueue::kCoalesced) {
+  } else if (result == RetrainEnqueue::kCoalesced) {
     if (stats_) stats_->record_retrain_coalesced();
-  } else if (ticket.result == RetrainEnqueue::kRejected) {
+  } else if (result == RetrainEnqueue::kRejected) {
     if (stats_) stats_->record_retrain_rejected();
   }
-  return ticket;
+  return result;
 }
 
 void RetrainWorker::start() {
   MutexLock lock(mutex_);
-  if (started_ || stopping_ || stopped_) return;
+  if (started_ || stopping_) return;
   started_ = true;
-  thread_ = std::thread([this] { loop(); });
+  threads_.reserve(thread_count_);
+  for (std::size_t i = 0; i < thread_count_; ++i) threads_.emplace_back([this] { loop(); });
 }
 
 void RetrainWorker::loop() {
@@ -67,11 +56,9 @@ void RetrainWorker::loop() {
     {
       MutexLock lock(mutex_);
       while (!stopping_ && tasks_.empty()) ready_.wait(mutex_);
-      if (tasks_.empty()) break;                 // stopping with nothing queued
-      if (stopping_ && !drain_on_stop_) break;   // cancel mode: stop() fails the backlog
-      task = std::move(tasks_.front());
+      if (stopping_) break;  // stop() cancels whatever is still queued
+      task = tasks_.front();
       tasks_.pop_front();
-      running_ = true;
     }
 
     // det:ok(wall-clock): reporting-only retrain latency measurement
@@ -91,35 +78,32 @@ void RetrainWorker::loop() {
     {
       MutexLock lock(mutex_);
       pending_.erase(task.key);
-      running_ = false;
     }
-    task.promise.set_value(RetrainOutcome::kCompleted);
     idle_.notify_all();
   }
 }
 
-void RetrainWorker::stop(bool drain) {
+void RetrainWorker::stop() {
   {
     MutexLock lock(mutex_);
-    if (stopped_) return;
+    if (stopping_) return;
     stopping_ = true;
-    drain_on_stop_ = drain;
   }
   ready_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  for (auto& thread : threads_) {
+    if (thread.joinable()) thread.join();
+  }
 
-  // Whatever the loop left behind (cancel mode, or stop before start):
-  // resolve every promise instead of abandoning its futures.
-  std::deque<Task> leftover;
+  // The pool is gone, so every pending key left is a queued, never-run task.
+  std::size_t cancelled = 0;
   {
     MutexLock lock(mutex_);
-    stopped_ = true;
-    leftover.swap(tasks_);
+    cancelled = tasks_.size();
+    tasks_.clear();
     pending_.clear();
   }
-  for (auto& task : leftover) task.promise.set_value(RetrainOutcome::kCancelled);
-  if (stats_ && !leftover.empty()) {
-    stats_->record_retrain_cancelled(static_cast<std::uint64_t>(leftover.size()));
+  if (stats_ && cancelled > 0) {
+    stats_->record_retrain_cancelled(static_cast<std::uint64_t>(cancelled));
   }
   idle_.notify_all();
 }
@@ -129,14 +113,9 @@ std::size_t RetrainWorker::depth() const {
   return tasks_.size();
 }
 
-bool RetrainWorker::stopping() const {
-  MutexLock lock(mutex_);
-  return stopping_;
-}
-
 void RetrainWorker::wait_idle() {
   MutexLock lock(mutex_);
-  while (!stopped_ && !(tasks_.empty() && !running_)) idle_.wait(mutex_);
+  while (!pending_.empty()) idle_.wait(mutex_);
 }
 
 }  // namespace rafiki::serve

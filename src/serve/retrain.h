@@ -1,23 +1,24 @@
-// Background retrain worker: the serve layer's guarantee that no GA (or,
+// Background retrain lane: the serve layer's guarantee that no GA (or,
 // later, collect+train) ever runs on a request-path thread. ObserveWindow's
 // stale-while-revalidate misses, and OnlineTuner::prefetch, enqueue
-// (bucket, read_ratio) tasks here; a single dedicated thread runs them and
-// the results flow back through the tuner's publish hook into the versioned
-// SnapshotRegistry — so a regime change costs the request path one queue
-// push, never an optimizer spike.
+// (tenant, bucket) tasks here; a small pool of dedicated threads runs them
+// and the results flow back through the tuner's publish hook into the
+// versioned SnapshotRegistry — so a regime change costs the request path one
+// queue push, never an optimizer spike. A TuningService owns exactly one
+// lane, with one pool thread per shard.
 //
-//   * Bounded task queue — a full retrain backlog drops the newest request
-//     (retrying is free: the next stale window re-enqueues) instead of
-//     growing unboundedly.
-//   * Coalescing — requests for a bucket that already has a task pending
-//     (queued or mid-run) share that task's completion future; N same-bucket
-//     stale windows cost one GA run. A task whose run function reports that
-//     no GA ran (the tuner's memo cache already held the bucket) counts as
-//     coalesced too, so `runs` counts real GA runs only.
-//   * Graceful shutdown — stop(drain=true) runs everything still queued,
-//     stop(drain=false) cancels it; either way every future ever handed out
-//     resolves (kCompleted or kCancelled), and an in-flight task always runs
-//     to completion.
+//   * Bounded task queue — kQueuePerThread tasks per pool thread; a full
+//     backlog rejects the newest key (retrying is free: the next stale
+//     window re-enqueues) instead of growing unboundedly.
+//   * One pending-key set — a key is pending from enqueue until its run
+//     returns, queued or running. A request for a pending key coalesces into
+//     that task, so N same-bucket stale windows cost one GA run, and no key
+//     is ever optimized on two pool threads at once. A task whose run
+//     function reports that no GA ran (the tuner's memo cache already held
+//     the bucket) counts as coalesced too, so `runs` counts real GA runs.
+//   * Cancel on stop — stop() drops the queued backlog (nobody waits on it
+//     once the service goes down; a restart re-enqueues on the next stale
+//     window); a task already running always completes.
 //   * Telemetry — queue depth, per-task latency histogram, and
 //     runs/coalesced/rejected/cancelled counters in ServiceStats.
 #pragma once
@@ -26,9 +27,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <map>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "serve/stats.h"
 #include "serve/types.h"
@@ -51,109 +52,84 @@ constexpr int retrain_key_bucket(std::uint64_t key) noexcept {
   return static_cast<int>(static_cast<std::uint32_t>(key));
 }
 
-struct RetrainOptions {
-  /// Bounded retrain backlog; enqueues beyond this are rejected (the caller
-  /// simply stays stale until a later window re-requests the bucket).
-  std::size_t queue_capacity = 64;
-};
-
-/// How an enqueue was disposed of, decided atomically under the worker lock.
+/// How an enqueue was disposed of, decided atomically under the lane lock.
 enum class RetrainEnqueue : std::uint8_t {
-  /// A new task was queued for this bucket.
+  /// A new task was queued for this key.
   kEnqueued = 0,
-  /// A task for this bucket was already pending (queued or running); the
-  /// returned future is that task's.
+  /// A task for this key was already pending (queued or running).
   kCoalesced,
   /// The retrain queue was full; nothing was queued.
   kRejected,
-  /// The worker was stopping or stopped; nothing was queued.
+  /// The lane was stopping or stopped; nothing was queued.
   kStopped,
 };
-
-/// How a task's future resolved.
-enum class RetrainOutcome : std::uint8_t { kCompleted = 0, kCancelled };
 
 class RetrainWorker {
  public:
   /// Runs one background optimization and returns whether it actually ran
   /// one: false means the work was already done (recorded as coalesced, not
-  /// as a run). Invoked on the worker thread only, with no worker lock held.
-  /// `key` is the coalescing key, retrain_key(tenant, bucket). (The serve
-  /// layer points this at OnlineTuner::run_optimize, which returns false for
-  /// an already-cached bucket.)
+  /// as a run). Invoked on a pool thread with no lane lock held, never for
+  /// the same key on two threads at once. `key` is the coalescing key,
+  /// retrain_key(tenant, bucket). (The serve layer points this at
+  /// OnlineTuner::run_optimize, which returns false for a cached bucket.)
   using RunFn = std::function<bool(std::uint64_t key, double read_ratio)>;
 
-  /// `stats` may be null (no telemetry); when set it must outlive the worker.
-  explicit RetrainWorker(RunFn run, RetrainOptions options = {},
-                         ServiceStats* stats = nullptr);
+  /// Queued-task bound per pool thread.
+  static constexpr std::size_t kQueuePerThread = 64;
+
+  /// `threads` pool threads (0 is normalized to 1) over one queue bounded at
+  /// kQueuePerThread * threads. `stats` may be null (no telemetry); when set
+  /// it must outlive the lane.
+  RetrainWorker(RunFn run, std::size_t threads, ServiceStats* stats);
   ~RetrainWorker();
 
   RetrainWorker(const RetrainWorker&) = delete;
   RetrainWorker& operator=(const RetrainWorker&) = delete;
 
-  struct Ticket {
-    RetrainEnqueue result = RetrainEnqueue::kStopped;
-    /// Always valid. Already satisfied (kCancelled) for kRejected/kStopped
-    /// tickets, so callers can wait unconditionally.
-    std::shared_future<RetrainOutcome> done;
-    bool accepted() const noexcept {
-      return result == RetrainEnqueue::kEnqueued || result == RetrainEnqueue::kCoalesced;
-    }
-  };
-
   /// Requests a background optimization for this coalescing key. Never
   /// blocks and never runs the optimizer on the calling thread.
-  Ticket enqueue(std::uint64_t key, double read_ratio);
+  RetrainEnqueue enqueue(std::uint64_t key, double read_ratio);
 
-  /// Spawns the worker thread (idempotent; no-op after stop()).
+  /// Spawns the pool (idempotent; no-op after stop()).
   void start();
 
-  /// Stops the worker. drain=true finishes the queued backlog first;
-  /// drain=false cancels it (their futures resolve kCancelled). A task
-  /// already mid-run always completes either way. Idempotent; safe before
-  /// start(), in which case the backlog is cancelled.
-  void stop(bool drain = true);
+  /// Stops the pool and cancels the queued backlog; tasks already running
+  /// complete first. Idempotent; safe before start().
+  void stop();
 
-  /// Queued tasks not yet picked up by the worker.
+  /// Queued tasks not yet picked up by a pool thread.
   std::size_t depth() const;
-  /// True once stop() has been requested (it may still be joining/draining).
-  bool stopping() const;
-  /// Blocks until no task is queued or running (or the worker stopped) —
-  /// the "background tuning has settled" barrier tests and benches need.
+  /// Blocks until no task is queued or running (or the lane stopped) — the
+  /// "background tuning has settled" barrier tests and benches need.
   void wait_idle();
 
  private:
   struct Task {
     std::uint64_t key = 0;
     double read_ratio = 0.0;
-    std::promise<RetrainOutcome> promise;
-    std::shared_future<RetrainOutcome> future;
   };
 
-  static Ticket finished_ticket(RetrainEnqueue result);
   void loop();
 
   RunFn run_;
-  RetrainOptions options_;
+  const std::size_t thread_count_;
+  const std::size_t capacity_;
   ServiceStats* stats_;
 
   mutable Mutex mutex_;
   CondVar ready_;
   CondVar idle_;
   std::deque<Task> tasks_ GUARDED_BY(mutex_);
-  /// key -> pending task's future; covers queued AND currently-running
-  /// tasks, so same-key requests coalesce for the task's whole lifetime.
-  std::map<std::uint64_t, std::shared_future<RetrainOutcome>> pending_ GUARDED_BY(mutex_);
+  /// Keys of queued AND running tasks: a key is erased only when its run
+  /// returns, so same-key requests coalesce for the task's whole lifetime.
+  std::set<std::uint64_t> pending_ GUARDED_BY(mutex_);
   /// Spawned under mutex_ in start(); joined lock-free in stop() after the
   /// stopping_ handshake (joining under the lock would deadlock the loop).
   /// start()/stop() are lifecycle calls — concurrent start+stop is a caller
-  /// contract violation, exactly as with the raw std::thread before.
-  std::thread thread_;
+  /// contract violation.
+  std::vector<std::thread> threads_;
   bool started_ GUARDED_BY(mutex_) = false;
   bool stopping_ GUARDED_BY(mutex_) = false;
-  bool stopped_ GUARDED_BY(mutex_) = false;
-  bool drain_on_stop_ GUARDED_BY(mutex_) = true;
-  bool running_ GUARDED_BY(mutex_) = false;  // the worker is executing a task right now
 };
 
 }  // namespace rafiki::serve

@@ -17,10 +17,6 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// stop() cancels each shard's queued retrain backlog instead of draining
-/// it: nobody waits on those optimizations once the service goes down.
-constexpr bool kDrainRetrainOnStop = false;
-
 double elapsed_us(std::chrono::steady_clock::time_point since,
                   std::chrono::steady_clock::time_point until) {
   return std::chrono::duration<double, std::micro>(until - since).count();
@@ -96,6 +92,24 @@ std::uint64_t thread_cpu_us() {
 #endif
 }
 
+/// The shards of a service, with the fleet worker budget divided across
+/// them.
+std::vector<std::unique_ptr<TuningService::Shard>> make_shards(const ShardOptions& options) {
+  // Divide the budget across shards: budget/N each, +1 for the first
+  // budget%N shards, so the division is deterministic for a given (budget,
+  // shards) and the total never exceeds the budget.
+  const std::size_t n = options.shards;
+  const std::size_t budget = resolve_budget(options);
+  std::vector<std::unique_ptr<TuningService::Shard>> shards;
+  shards.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    shards.push_back(std::make_unique<TuningService::Shard>(
+        options.service, budget / n + (i < budget % n ? 1 : 0),
+        options.pin_shards ? shard_cpu_slice(i, n) : std::vector<int>{}));
+  }
+  return shards;
+}
+
 }  // namespace
 
 // --- routing ------------------------------------------------------------------
@@ -150,10 +164,9 @@ void TuningService::route_key(TenantId tenant, std::size_t band,
 // --- construction and lifecycle -------------------------------------------------
 
 TuningService::Shard::Shard(const ServiceOptions& options, std::size_t workers,
-                            std::vector<int> cpus, RetrainWorker::RunFn run)
+                            std::vector<int> cpus)
     : queue_(options.queue_capacity),
       stats_(options.stats),
-      retrain_(std::move(run), options.retrain, &stats_),
       worker_count_(workers),
       cpus_(std::move(cpus)) {}
 
@@ -165,26 +178,18 @@ TuningService::TuningService(ShardOptions options)
       registries_(options_.service.tenants),
       version_counters_(options_.service.tenants, 0),
       tuned_(options_.service.tenants),
-      tuners_(options_.service.tenants) {
-  // Divide the budget across shards: budget/N each, +1 for the first
-  // budget%N shards, so the division is deterministic for a given (budget,
-  // shards) and the total never exceeds the budget.
-  const std::size_t n = options_.shards;
-  const std::size_t budget = resolve_budget(options_);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // The retrain worker delegates to the owning tenant's optimize path; the
-    // tuner turns an already-cached bucket into a no-op (reported as not
-    // run), and its publish hook republishes the result into the tenant's
-    // slot.
-    auto run = [this](std::uint64_t key, double read_ratio) {
-      auto* tuner = tuner_for(retrain_key_tenant(key));
-      return tuner != nullptr && tuner->run_optimize(read_ratio);
-    };
-    shards_.push_back(std::make_unique<Shard>(
-        options_.service, budget / n + (i < budget % n ? 1 : 0),
-        options_.pin_shards ? shard_cpu_slice(i, n) : std::vector<int>{}, std::move(run)));
-  }
+      tuners_(options_.service.tenants),
+      shards_(make_shards(options_)),
+      // The lane delegates to the owning tenant's optimize path; the tuner
+      // turns an already-cached bucket into a no-op (reported as not run),
+      // and its publish hook republishes the result into the tenant's slot.
+      retrain_(
+          [this](std::uint64_t key, double read_ratio) {
+            auto* tuner = tuner_for(retrain_key_tenant(key));
+            return tuner != nullptr && tuner->run_optimize(read_ratio);
+          },
+          shards_.size(), &shards_.front()->stats_) {
+  const std::size_t n = shards_.size();
   for (std::size_t slot = 0; slot < kRouteSlots; ++slot) {
     // Initial slot->shard spread reuses the same pure mix (of the slot
     // index), keeping the table identical across restarts.
@@ -198,8 +203,8 @@ void TuningService::start() {
   MutexLock lock(lifecycle_mutex_);
   if (started_ || stopped_) return;
   started_ = true;
+  retrain_.start();
   for (auto& shard : shards_) {
-    shard->retrain_.start();
     shard->threads_.reserve(shard->worker_count_);
     for (std::size_t i = 0; i < shard->worker_count_; ++i) {
       shard->threads_.emplace_back([this, s = shard.get(), i] { worker_loop(*s, i); });
@@ -225,10 +230,11 @@ void TuningService::stop() {
     }
     shard->threads_.clear();
   }
+  // Request workers are gone, so nothing can enqueue retrains anymore; the
+  // queued backlog is cancelled, and an in-flight GA always completes and
+  // still republishes into its slot.
+  retrain_.stop();
   for (auto& shard : shards_) {
-    // Request workers are gone, so nothing can enqueue retrains anymore; an
-    // in-flight GA always completes and still republishes into its slot.
-    shard->retrain_.stop(kDrainRetrainOnStop);
     // No worker ever consumed these (workers == 0, or stop before start):
     // fail them instead of leaving their callbacks unanswered.
     while (auto job = shard->queue_.try_pop()) {
@@ -329,12 +335,12 @@ void TuningService::attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tune
     publish_tuned(tenant, bucket, result.config, result.predicted_throughput);
   });
   // Route the tuner's cache misses (ObserveWindow staleness, prefetch) to the
-  // retrain worker of the shard that owns the (tenant, band) key, so its
-  // coalescing map sees every request for that workload: no GA ever runs on
-  // a request-path thread, and tenants never coalesce with each other.
+  // one retrain lane, whose pending-key set sees every request for a
+  // (tenant, bucket): no GA ever runs on a request-path thread, a bucket is
+  // never optimized twice at once, and tenants never coalesce with each
+  // other.
   tuner.set_async_optimize_hook([this, tenant](int bucket, double read_ratio) {
-    shards_[shard_of_key(tenant, band_of(read_ratio))]->retrain_.enqueue(
-        retrain_key(tenant, bucket), read_ratio);
+    retrain_.enqueue(retrain_key(tenant, bucket), read_ratio);
   });
   tuners_[tenant].store(&tuner, std::memory_order_release);
 }
@@ -410,34 +416,24 @@ Status TuningService::try_submit(Request request, ResponseCallback done) {
 
 void TuningService::worker_loop(Shard& shard, std::size_t worker_index) {
   if (!shard.cpus_.empty()) pin_current_thread(shard.cpus_[worker_index % shard.cpus_.size()]);
-  const ServiceOptions& options = options_.service;
+  const std::size_t max_batch = options_.service.max_batch;
   while (auto job = shard.queue_.pop()) {
     if (job->request.endpoint != Endpoint::kPredict) {
       run_single(shard, std::move(*job));
       continue;
     }
 
-    // Micro-batcher: coalesce queued Predict requests behind this one, up to
-    // max_batch or until the flush window elapses. A non-Predict request
-    // popped while draining terminates the batch and runs right after it.
+    // Micro-batcher: coalesce the Predict requests already queued behind
+    // this one, up to max_batch. An empty queue means no co-arriving
+    // requests to coalesce, so the batch runs at once instead of waiting for
+    // more. A non-Predict request popped while draining terminates the batch
+    // and runs right after it.
     std::vector<Job> batch;
     batch.push_back(std::move(*job));
     std::optional<Job> carry;
-    // The flush window is real time by design: it affects only how requests
-    // are grouped into batches, never what any request returns.
-    // det:ok(wall-clock): real-time micro-batch flush window, grouping only
-    const auto flush_at = std::chrono::steady_clock::now() + options.batch_window;
-    while (batch.size() < options.max_batch) {
+    while (batch.size() < max_batch) {
       auto next = shard.queue_.try_pop();
-      if (!next) {
-        // Adaptive flush: an empty queue means no co-arriving requests to
-        // coalesce — run what we have now rather than stalling everyone in
-        // the batch for the rest of the window (the 1-client/batch-32 case
-        // degraded to window-bound throughput before this).
-        if (options.adaptive_batch) break;
-        next = shard.queue_.pop_until(flush_at);
-        if (!next) break;  // window elapsed (or queue closed and drained)
-      }
+      if (!next) break;
       if (next->request.endpoint == Endpoint::kPredict) {
         batch.push_back(std::move(*next));
       } else {
@@ -560,9 +556,9 @@ void TuningService::run_single(Shard& shard, Job job) {
       }
       // The tuner is internally synchronized. With the async-optimize hook
       // attached (attach_tenant_tuner), a cache miss returns immediately
-      // with a stale-marked decision and the bucket lands on a
-      // RetrainWorker; the publish hook republishes the tuned config as a
-      // new snapshot version once the background GA completes.
+      // with a stale-marked decision and the bucket lands on the retrain
+      // lane; the publish hook republishes the tuned config as a new
+      // snapshot version once the background GA completes.
       const auto decision = tuner->on_window(job.request.read_ratio);
       response.status = Status::kOk;
       response.model_version = tenant_model_version(job.request.tenant);
@@ -608,18 +604,6 @@ ServiceStats::Counters TuningService::merged_totals() const {
   return sum;
 }
 
-ServiceStats::RetrainCounters TuningService::retrain_counters() const {
-  ServiceStats::RetrainCounters sum;
-  for (const auto& shard : shards_) {
-    const auto per = shard->stats_.retrain_counters();
-    sum.runs += per.runs;
-    sum.coalesced += per.coalesced;
-    sum.rejected += per.rejected;
-    sum.cancelled += per.cancelled;
-  }
-  return sum;
-}
-
 double TuningService::endpoint_latency_quantile(Endpoint endpoint, double q) const {
   return merged_aggregate(endpoint).latency.quantile(q);
 }
@@ -637,17 +621,6 @@ double TuningService::mean_batch_size() const {
   return batches > 0.0 ? rows / batches : 0.0;
 }
 
-double TuningService::mean_retrain_latency_us() const {
-  double total = 0.0;
-  double runs = 0.0;
-  for (const auto& shard : shards_) {
-    const auto n = static_cast<double>(shard->stats_.retrain_counters().runs);
-    total += shard->stats_.mean_retrain_latency_us() * n;
-    runs += n;
-  }
-  return runs > 0.0 ? total / runs : 0.0;
-}
-
 std::uint64_t TuningService::worker_cpu_us() const noexcept {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->worker_cpu_us();
@@ -658,10 +631,6 @@ std::size_t TuningService::resolved_worker_budget() const noexcept {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->worker_count();
   return total;
-}
-
-void TuningService::wait_retrain_idle() {
-  for (auto& shard : shards_) shard->retrain_.wait_idle();
 }
 
 }  // namespace rafiki::serve

@@ -6,27 +6,31 @@
 //   client ──try_submit──▶ route (tenant, band) ──▶ shard k
 //                            │      ▲                  ├─ bounded queue
 //                            │      │ rebalance        ├─ workers + batcher
-//                            │      │ (hot slot        ├─ striped stats
-//                            │      │  migration)      └─ retrain worker
+//                            │      │ (hot slot        └─ striped stats
+//                            │      │  migration)
 //                            └──▶ kOverloaded: spill to shard k+1 ...
 //
 //      per tenant, once per service: snapshot slot, version counter,
 //      tuned table, tuner pointer — every shard reads the same slot
+//      once per service: the retrain lane (one pool thread per shard, one
+//      pending-key set)
 //
 //   * Admission control — a full queue rejects with Overloaded immediately;
 //     producers never block past capacity. Each request carries a deadline
 //     in injected-clock ticks, checked before execution.
-//   * Micro-batching — concurrent Predict requests are coalesced (up to
-//     ServiceOptions::max_batch, or a real-time flush window) into a single
-//     batched ensemble evaluation (SurrogateEnsemble::predict_batch).
+//   * Micro-batching — a worker coalesces the Predict requests already
+//     queued behind the one it popped (up to ServiceOptions::max_batch) into
+//     a single batched ensemble evaluation (SurrogateEnsemble::predict_batch),
+//     and flushes as soon as the queue is momentarily empty: it never waits
+//     for more requests to arrive.
 //   * One shared model — publish() stamps a new version into every tenant's
 //     slot behind an atomic shared_ptr; in-flight requests keep the version
 //     they started with. Snapshot copies share the fitted ensemble, so a
 //     publish costs one small header per tenant, whatever the shard count.
 //   * Async retraining — ObserveWindow is stale-while-revalidate: a cache
 //     miss answers immediately with the current config (Response::stale set)
-//     and enqueues the bucket on the owning shard's RetrainWorker; the GA
-//     never runs on a request-path worker (serve/retrain.h).
+//     and enqueues the (tenant, bucket) key on the service's one retrain
+//     lane; the GA never runs on a request-path worker (serve/retrain.h).
 //   * Sharding — requests are routed by a stable fingerprint of their
 //     (tenant, read-ratio band) key (band = percent bucket of the read ratio,
 //     the tuner's cache quantization) hashed into a fixed table of route
@@ -38,10 +42,10 @@
 //     the most-loaded shard with one atomic store. With one shard there is
 //     nothing to route: try_submit goes straight to shard 0.
 //   * Telemetry — per-endpoint latency histograms, QPS / rejection /
-//     queue-depth counters, batch-size distribution, retrain queue depth and
-//     latency (serve/stats.h), per shard; the merged accessors sum over
-//     shards, and shard 0's stats() doubles as the sink for wire and fleet
-//     counters, so a one-shard service reads exactly like an unsharded one.
+//     queue-depth counters and batch-size distribution (serve/stats.h), per
+//     shard; the merged accessors sum over shards. Shard 0's stats() doubles
+//     as the sink for the retrain lane and the wire and fleet counters, so a
+//     one-shard service reads exactly like an unsharded one.
 #pragma once
 
 #include <array>
@@ -84,17 +88,10 @@ struct ServiceOptions {
   std::size_t workers = 2;
   /// Bounded request queue capacity per shard; the admission-control limit.
   std::size_t queue_capacity = 256;
-  /// Micro-batcher: flush a Predict batch at this many coalesced requests...
+  /// Micro-batcher: a Predict batch holds at most this many requests. It
+  /// flushes earlier whenever the queue momentarily empties, so under load
+  /// batches fill to max_batch and a lone client gets queue-depth-1 latency.
   std::size_t max_batch = 32;
-  /// ...or once this much real time has passed since the batch opened.
-  std::chrono::microseconds batch_window{200};
-  /// Adaptive flush: run the batch as soon as the queue momentarily empties
-  /// instead of sleeping out the remainder of batch_window. Under load the
-  /// queue is never empty and batches still fill to max_batch; a lone client
-  /// gets queue-depth-1 latency instead of a mandatory window stall. Disable
-  /// to get the strict fill-or-time-out batcher (the injected-clock batch
-  /// tests use this mode).
-  bool adaptive_batch = true;
   /// Virtual clock for request deadlines. Deterministic by construction: the
   /// default never advances, so deadlines never expire unless a clock is
   /// injected (tests drive an atomic counter; a deployment would plug in a
@@ -103,16 +100,12 @@ struct ServiceOptions {
   /// GA budget for the Optimize endpoint.
   opt::GaOptions ga{};
   StatsOptions stats{};
-  /// Background retrain worker per shard (ObserveWindow misses, tuner
-  /// prefetches). stop() cancels its queued backlog: pending optimizations
-  /// have no waiter once the service is going down, and a restart simply
-  /// re-enqueues on the next stale window.
-  RetrainOptions retrain{};
 };
 
 struct ShardOptions {
   /// Shard count; clamped to [1, 128]. Every shard gets its own queue,
-  /// worker pool, batcher, stats and retrain worker built from `service`.
+  /// worker pool, batcher and stats built from `service`, and the service's
+  /// one retrain lane gets one pool thread per shard.
   std::size_t shards = 4;
   ServiceOptions service{};
   /// Fleet-level worker budget, divided across shards (shard i gets
@@ -174,13 +167,12 @@ class TuningService : public TuningBackend {
     return static_cast<std::size_t>(route_fingerprint(tenant, band) % kRouteSlots);
   }
 
-  /// One shard's private serving state: its bounded queue, worker pool,
-  /// striped stats and background retrain worker. Only the service mutates
-  /// it; outside the service a shard is a telemetry view.
+  /// One shard's private serving state: its bounded queue, worker pool and
+  /// striped stats. Only the service mutates it; outside the service a
+  /// shard is a telemetry view.
   class Shard {
    public:
-    Shard(const ServiceOptions& options, std::size_t workers, std::vector<int> cpus,
-          RetrainWorker::RunFn run);
+    Shard(const ServiceOptions& options, std::size_t workers, std::vector<int> cpus);
 
     const ServiceStats& stats() const noexcept { return stats_; }
     /// Planned worker-pool size — the number start() spawns.
@@ -201,7 +193,6 @@ class TuningService : public TuningBackend {
 
     BoundedQueue<Job> queue_;
     ServiceStats stats_;
-    RetrainWorker retrain_;
     const std::size_t worker_count_;
     /// CPUs worker i pins to (cpus_[i % size]); empty = no pinning.
     const std::vector<int> cpus_;
@@ -243,10 +234,9 @@ class TuningService : public TuningBackend {
   void attach_tuner(core::OnlineTuner& tuner) override { attach_tenant_tuner(0, tuner); }
   /// Wires the tuner serving one tenant namespace (it must outlive this
   /// service). The tuner becomes stale-while-revalidate: its cache misses
-  /// and prefetches enqueue under the tenant's own retrain key-space on the
-  /// shard that owns the (tenant, band) key, and its publish hook republishes
-  /// every freshly optimized config into the tenant's slot. Call before
-  /// start().
+  /// and prefetches enqueue on the retrain lane under the tenant's own
+  /// key-space, and its publish hook republishes every freshly optimized
+  /// config into the tenant's slot. Call before start().
   void attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
   /// Records one tuned (bucket -> config) entry in `tenant`'s tuned table and
@@ -261,18 +251,20 @@ class TuningService : public TuningBackend {
   /// siblings on Overloaded.
   Status try_submit(Request request, ResponseCallback done) override;
 
-  /// Spawns every shard's worker pool and retrain worker, plus the rebalance
-  /// policy thread when configured (idempotent). Requests submitted before
-  /// start() wait in their shard's queue.
+  /// Spawns every shard's worker pool and the retrain lane, plus the
+  /// rebalance policy thread when configured (idempotent). Requests
+  /// submitted before start() wait in their shard's queue.
   void start() override;
-  /// Closes admission, drains the backlog, joins workers. Queued requests
-  /// are still answered (drained by the workers, or failed with
-  /// ShuttingDown if no worker ever ran). Idempotent.
+  /// Closes admission, drains the backlog, joins workers, then stops the
+  /// retrain lane (cancelling its queued backlog; a running GA completes and
+  /// still republishes). Queued requests are still answered (drained by the
+  /// workers, or failed with ShuttingDown if no worker ever ran). Idempotent.
   void stop() override;
 
-  /// Shard 0's stats: the sink front-ends (net::Server, TenantFleet) fold
-  /// their wire and fleet telemetry into. ServiceStats is internally
-  /// synchronized (lock-free striped atomics).
+  /// Shard 0's stats: the sink the retrain lane and the front-ends
+  /// (net::Server, TenantFleet) fold their retrain, wire and fleet telemetry
+  /// into. ServiceStats is internally synchronized (lock-free striped
+  /// atomics).
   ServiceStats& stats() noexcept override { return shards_.front()->stats_; }
   const ServiceStats& stats() const noexcept override { return shards_.front()->stats_; }
 
@@ -282,17 +274,20 @@ class TuningService : public TuningBackend {
   Table stats_table() const override;
   ServiceStats::Counters endpoint_counters(Endpoint endpoint) const override;
   ServiceStats::Counters merged_totals() const;
-  ServiceStats::RetrainCounters retrain_counters() const override;
   double endpoint_latency_quantile(Endpoint endpoint, double q) const override;
   /// Request-weighted mean micro-batch size across shards.
   double mean_batch_size() const override;
-  /// Run-weighted mean background-retrain latency across shards.
-  double mean_retrain_latency_us() const override;
+  /// The retrain lane's counters and mean latency (it records into shard
+  /// 0's stats, so these are the service totals).
+  ServiceStats::RetrainCounters retrain_counters() const override {
+    return stats().retrain_counters();
+  }
+  double mean_retrain_latency_us() const override { return stats().mean_retrain_latency_us(); }
   /// Summed worker CPU time of every shard (exact after stop()).
   std::uint64_t worker_cpu_us() const noexcept;
-  /// Blocks until every shard's background retrain worker is idle — the
-  /// barrier tests and benches use to observe the post-republish state.
-  void wait_retrain_idle() override;
+  /// Blocks until the retrain lane is idle — the barrier tests and benches
+  /// use to observe the post-republish state.
+  void wait_retrain_idle() override { retrain_.wait_idle(); }
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   const Shard& shard(std::size_t index) const { return *shards_[index]; }
@@ -363,6 +358,10 @@ class TuningService : public TuningBackend {
   std::deque<std::atomic<core::OnlineTuner*>> tuners_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The one retrain lane: ObserveWindow misses and tuner prefetches of
+  /// every tenant, recording into shard 0's stats. Declared after shards_,
+  /// so it is destroyed (stopped) first.
+  RetrainWorker retrain_;
   /// route slot -> shard index. uint8 caps shards at 128 (clamped in the
   /// ctor); reads are relaxed atomic loads on the submit path, writes only
   /// from route_key / rebalance_hottest.

@@ -136,7 +136,7 @@ void ServiceStats::record_reject(Endpoint endpoint, Status reason) {
 void ServiceStats::record_done(Endpoint endpoint, Status status, double latency_us) {
   auto& per = endpoint_stripe(endpoint);
   per.counters[kIdxCompleted].fetch_add(1, kRelaxed);
-  std::size_t idx = kIdxFailedOverload;
+  std::size_t idx = kIdxFailed;
   switch (status) {
     case Status::kOk:
       idx = kIdxOk;
@@ -147,14 +147,10 @@ void ServiceStats::record_done(Endpoint endpoint, Status status, double latency_
     case Status::kNotReady:
       idx = kIdxNotReady;
       break;
-    // These two were *accepted* and only failed afterwards (e.g. drained
-    // with kShuttingDown by stop()); they must not pollute the
-    // admission-reject counters that record_reject owns.
+    // Accepted, then failed (e.g. drained with kShuttingDown by stop()):
+    // never counted with the admission rejects that record_reject owns.
     case Status::kShuttingDown:
-      idx = kIdxFailedShutdown;
-      break;
     case Status::kOverloaded:
-      idx = kIdxFailedOverload;
       break;
   }
   per.counters[idx].fetch_add(1, kRelaxed);
@@ -260,8 +256,7 @@ void ServiceStats::Counters::merge(const Counters& other) noexcept {
   rejected_deadline += other.rejected_deadline;
   not_ready += other.not_ready;
   rejected_shutdown += other.rejected_shutdown;
-  failed_shutdown += other.failed_shutdown;
-  failed_overload += other.failed_overload;
+  failed += other.failed;
   stale += other.stale;
 }
 
@@ -280,8 +275,7 @@ void ServiceStats::fill_counters(Endpoint endpoint, Counters& out) const noexcep
   out.rejected_deadline = sum_counter(endpoint, kIdxRejDeadline);
   out.not_ready = sum_counter(endpoint, kIdxNotReady);
   out.rejected_shutdown = sum_counter(endpoint, kIdxRejShutdown);
-  out.failed_shutdown = sum_counter(endpoint, kIdxFailedShutdown);
-  out.failed_overload = sum_counter(endpoint, kIdxFailedOverload);
+  out.failed = sum_counter(endpoint, kIdxFailed);
   out.stale = sum_counter(endpoint, kIdxStale);
 }
 
@@ -490,8 +484,7 @@ Table ServiceStats::table_of(std::span<const EndpointAggregate> per_endpoint) {
                    std::to_string(agg.counters.rejected_overload),
                    std::to_string(agg.counters.rejected_deadline),
                    std::to_string(agg.counters.not_ready),
-                   std::to_string(agg.counters.failed_shutdown +
-                                  agg.counters.failed_overload),
+                   std::to_string(agg.counters.failed),
                    Table::num(agg.latency.quantile(0.5), 1),
                    Table::num(agg.latency.quantile(0.99), 1),
                    Table::num(agg.mean_latency_us(), 1)});

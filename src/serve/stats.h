@@ -80,13 +80,10 @@ class ServiceStats {
     std::uint64_t not_ready = 0;
     /// Turned away at admission: the service was already stopping.
     std::uint64_t rejected_shutdown = 0;
-    /// Accepted, then finished with kShuttingDown (e.g. drained by stop()
-    /// with no worker). Distinct from rejected_shutdown so admission-reject
-    /// columns stay truthful and `accepted == completed` after drain.
-    std::uint64_t failed_shutdown = 0;
-    /// Accepted, then finished with kOverloaded (not currently produced by
-    /// any path; kept so the failed-after-accept split is total).
-    std::uint64_t failed_overload = 0;
+    /// Accepted, then finished with kShuttingDown or kOverloaded (e.g.
+    /// drained by stop() with no worker). Distinct from the rejected_*
+    /// columns so they stay truthful and `accepted == completed` after drain.
+    std::uint64_t failed = 0;
     /// Responses served with Response::stale set (kObserveWindow only): the
     /// cache-missed window answered with the previous config while a
     /// background optimization was pending.
@@ -287,8 +284,7 @@ class ServiceStats {
     kIdxRejDeadline,
     kIdxNotReady,
     kIdxRejShutdown,
-    kIdxFailedShutdown,
-    kIdxFailedOverload,
+    kIdxFailed,
     kIdxStale,
     kCtrCount,
   };

@@ -1,11 +1,14 @@
-// RetrainWorker and the stale-while-revalidate ObserveWindow path: lifecycle
-// edges (stop-before-start, stop with a retrain in flight, drain vs cancel),
-// per-bucket coalescing of duplicate requests into one GA run (a memo-hit
-// task counts as coalesced, not as a run), the stale-then-fresh window
-// sequence under an injected clock, tuned entries buffered until the first
-// real snapshot publish and kept across later full publishes, and the
-// tuner's internal synchronization under concurrent on_window/prefetch
-// callers (a tsan probe).
+// RetrainWorker (the retrain lane) and the stale-while-revalidate
+// ObserveWindow path: lifecycle edges (stop-before-start, stop with a retrain
+// in flight), per-key coalescing of duplicate requests into one GA run (a
+// memo-hit task counts as coalesced, not as a run), a pool that runs distinct
+// keys at once but never one key twice, one bucket routed to two shards
+// still costing one retrain task, the stale-then-fresh window sequence under
+// an injected clock, tuned entries buffered until the first real snapshot
+// publish and kept across later full publishes, and the tuner's internal
+// synchronization under concurrent on_window/prefetch callers (a tsan
+// probe).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -34,11 +37,21 @@ namespace {
 
 class WorkerHarness {
  public:
+  /// Counts finished runs per key, and how many runs of one key were ever in
+  /// progress at once (a double run reads 2).
   RetrainWorker::RunFn fn() {
-    return [this](std::uint64_t bucket, double /*read_ratio*/) {
+    return [this](std::uint64_t key, double /*read_ratio*/) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++running_total_;
+        most_at_once_same_key_ = std::max(most_at_once_same_key_, ++running_[key]);
+      }
+      std::this_thread::yield();  // widen the window a double run would need
       gate_.wait();
       std::lock_guard<std::mutex> lock(mutex_);
-      ++runs_[static_cast<int>(bucket)];
+      --running_[key];
+      --running_total_;
+      ++runs_[key];
       return true;
     };
   }
@@ -48,15 +61,24 @@ class WorkerHarness {
   void hold() { gate_.close(); }
   void release() { gate_.open(); }
 
-  int runs(int bucket) {
+  int runs(std::uint64_t key) {
     std::lock_guard<std::mutex> lock(mutex_);
-    return runs_[bucket];
+    return runs_[key];
   }
   int total_runs() {
     std::lock_guard<std::mutex> lock(mutex_);
     int total = 0;
-    for (const auto& [bucket, count] : runs_) total += count;
+    for (const auto& [key, count] : runs_) total += count;
     return total;
+  }
+  /// Runs in progress right now (started, not yet returned).
+  int running() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return running_total_;
+  }
+  int most_at_once_same_key() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return most_at_once_same_key_;
   }
 
  private:
@@ -86,125 +108,101 @@ class WorkerHarness {
 
   Gate gate_;
   std::mutex mutex_;
-  std::map<int, int> runs_;
+  std::map<std::uint64_t, int> runs_;
+  std::map<std::uint64_t, int> running_;
+  int running_total_ = 0;
+  int most_at_once_same_key_ = 0;
 };
 
 TEST(RetrainWorker, StopBeforeStartCancelsBacklogWithoutLosingFutures) {
   WorkerHarness harness;
   ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
+  RetrainWorker worker(harness.fn(), 1, &stats);
 
-  const auto a = worker.enqueue(1, 0.1);
-  const auto b = worker.enqueue(2, 0.2);
-  ASSERT_EQ(a.result, RetrainEnqueue::kEnqueued);
-  ASSERT_EQ(b.result, RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(1, 0.1), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(2, 0.2), RetrainEnqueue::kEnqueued);
   EXPECT_EQ(worker.depth(), 2u);
 
-  worker.stop(/*drain=*/false);  // never started: nothing may hang
-  EXPECT_EQ(a.done.get(), RetrainOutcome::kCancelled);
-  EXPECT_EQ(b.done.get(), RetrainOutcome::kCancelled);
+  worker.stop();  // never started: nothing may hang
+  EXPECT_EQ(worker.depth(), 0u);
   EXPECT_EQ(harness.total_runs(), 0);
   EXPECT_EQ(stats.retrain_counters().cancelled, 2u);
   EXPECT_EQ(stats.retrain_counters().runs, 0u);
 
-  // After stop, enqueues report kStopped with an already-resolved future.
-  const auto late = worker.enqueue(3, 0.3);
-  EXPECT_EQ(late.result, RetrainEnqueue::kStopped);
-  EXPECT_EQ(late.done.get(), RetrainOutcome::kCancelled);
-  worker.wait_idle();  // returns immediately on a stopped worker
-}
-
-TEST(RetrainWorker, DrainStopRunsTheQueuedBacklog) {
-  WorkerHarness harness;
-  ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
-  std::vector<RetrainWorker::Ticket> tickets;
-  for (int bucket = 1; bucket <= 3; ++bucket) {
-    tickets.push_back(worker.enqueue(bucket, 0.1 * bucket));
-  }
-  worker.start();
-  worker.stop(/*drain=*/true);
-  for (auto& ticket : tickets) EXPECT_EQ(ticket.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(harness.total_runs(), 3);
-  EXPECT_EQ(stats.retrain_counters().runs, 3u);
-  EXPECT_EQ(stats.retrain_counters().cancelled, 0u);
+  // After stop, enqueues report kStopped and queue nothing.
+  EXPECT_EQ(worker.enqueue(3, 0.3), RetrainEnqueue::kStopped);
+  EXPECT_EQ(worker.depth(), 0u);
+  worker.start();      // no-op after stop
+  worker.wait_idle();  // returns immediately on a stopped lane
+  EXPECT_EQ(harness.total_runs(), 0);
 }
 
 TEST(RetrainWorker, CancelStopFinishesInFlightTaskButDropsQueued) {
   WorkerHarness harness;
   harness.hold();
   ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
+  RetrainWorker worker(harness.fn(), 1, &stats);
   worker.start();
 
-  const auto in_flight = worker.enqueue(1, 0.1);
-  // Wait until the worker picked task 1 up (depth drops to 0; the run is
-  // blocked on the gate), then queue a second bucket behind it.
-  while (worker.depth() != 0) std::this_thread::yield();
-  const auto queued = worker.enqueue(2, 0.2);
-  ASSERT_EQ(queued.result, RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(1, 0.1), RetrainEnqueue::kEnqueued);
+  // Wait until the pool thread is running task 1 (blocked on the gate), then
+  // queue a second key behind it.
+  while (harness.running() != 1) std::this_thread::yield();
+  ASSERT_EQ(worker.enqueue(2, 0.2), RetrainEnqueue::kEnqueued);
 
-  std::thread stopper([&] { worker.stop(/*drain=*/false); });
+  std::thread stopper([&] { worker.stop(); });
   // Only open the gate once the stop request is registered — otherwise the
-  // worker could finish task 1 and legitimately pick task 2 up before the
-  // cancel lands.
-  while (!worker.stopping()) std::this_thread::yield();
+  // pool could finish task 1 and legitimately pick task 2 up before the
+  // cancel lands. Key 2 stays pending (and coalesces) until then.
+  while (worker.enqueue(2, 0.2) != RetrainEnqueue::kStopped) std::this_thread::yield();
   harness.release();
   stopper.join();
 
   // The in-flight run always completes; the queued one is cancelled.
-  EXPECT_EQ(in_flight.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(queued.done.get(), RetrainOutcome::kCancelled);
   EXPECT_EQ(harness.runs(1), 1);
   EXPECT_EQ(harness.runs(2), 0);
-  EXPECT_EQ(stats.retrain_counters().cancelled, 1u);
+  const auto counters = stats.retrain_counters();
+  EXPECT_EQ(counters.runs, 1u);
+  EXPECT_EQ(counters.cancelled, 1u);
 }
 
 TEST(RetrainWorker, SameBucketRequestsCoalesceIntoOneRun) {
   WorkerHarness harness;
   harness.hold();  // nothing completes until every enqueue landed
   ServiceStats stats;
-  RetrainWorker worker(harness.fn(), {}, &stats);
+  RetrainWorker worker(harness.fn(), 1, &stats);
   worker.start();
 
-  const auto first = worker.enqueue(7, 0.7);
-  const auto dup1 = worker.enqueue(7, 0.7);
-  const auto dup2 = worker.enqueue(7, 0.7);
-  const auto other = worker.enqueue(8, 0.8);
-  const auto dup3 = worker.enqueue(8, 0.8);
-  ASSERT_EQ(first.result, RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(dup1.result, RetrainEnqueue::kCoalesced);
-  EXPECT_EQ(dup2.result, RetrainEnqueue::kCoalesced);
-  ASSERT_EQ(other.result, RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(dup3.result, RetrainEnqueue::kCoalesced);
+  ASSERT_EQ(worker.enqueue(7, 0.7), RetrainEnqueue::kEnqueued);
+  EXPECT_EQ(worker.enqueue(7, 0.7), RetrainEnqueue::kCoalesced);
+  EXPECT_EQ(worker.enqueue(7, 0.7), RetrainEnqueue::kCoalesced);
+  ASSERT_EQ(worker.enqueue(8, 0.8), RetrainEnqueue::kEnqueued);
+  EXPECT_EQ(worker.enqueue(8, 0.8), RetrainEnqueue::kCoalesced);
 
   harness.release();
   worker.wait_idle();
-  // N same-bucket requests -> one run per bucket; duplicates shared the
-  // pending task's future.
+  // N same-key requests -> one run per key.
   EXPECT_EQ(harness.runs(7), 1);
   EXPECT_EQ(harness.runs(8), 1);
-  EXPECT_EQ(dup1.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(dup3.done.get(), RetrainOutcome::kCompleted);
+  EXPECT_EQ(worker.depth(), 0u);
   EXPECT_EQ(stats.retrain_counters().runs, 2u);
   EXPECT_EQ(stats.retrain_counters().coalesced, 3u);
   worker.stop();
+  EXPECT_EQ(stats.retrain_counters().cancelled, 0u);
 }
 
 TEST(RetrainWorker, RunThatFindsTheWorkDoneCountsAsCoalescedNotRun) {
   // A task can start after a run for its bucket already finished (enqueued
-  // just before that run cleared its pending key); the run function then
+  // just after that run cleared its pending key); the run function then
   // reports that no optimization ran — the memo cache held the bucket.
   ServiceStats stats;
-  RetrainWorker worker([](std::uint64_t key, double /*read_ratio*/) { return key != 2; },
-                       {}, &stats);
-  const auto ran = worker.enqueue(1, 0.1);
-  const auto memo_hit = worker.enqueue(2, 0.2);
+  RetrainWorker worker([](std::uint64_t key, double /*read_ratio*/) { return key != 2; }, 1,
+                       &stats);
+  ASSERT_EQ(worker.enqueue(1, 0.1), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(2, 0.2), RetrainEnqueue::kEnqueued);
   worker.start();
   worker.wait_idle();
 
-  EXPECT_EQ(ran.done.get(), RetrainOutcome::kCompleted);
-  EXPECT_EQ(memo_hit.done.get(), RetrainOutcome::kCompleted);
   const auto counters = stats.retrain_counters();
   EXPECT_EQ(counters.runs, 1u);
   EXPECT_EQ(counters.coalesced, 1u);
@@ -215,19 +213,64 @@ TEST(RetrainWorker, RunThatFindsTheWorkDoneCountsAsCoalescedNotRun) {
 TEST(RetrainWorker, FullQueueRejectsButCoalescingStillWins) {
   WorkerHarness harness;
   ServiceStats stats;
-  RetrainOptions options;
-  options.queue_capacity = 1;
-  RetrainWorker worker(harness.fn(), options, &stats);  // never started
+  RetrainWorker worker(harness.fn(), 1, &stats);  // never started
+  constexpr std::size_t kBound = RetrainWorker::kQueuePerThread;  // one thread
 
-  ASSERT_EQ(worker.enqueue(1, 0.1).result, RetrainEnqueue::kEnqueued);
-  // Queue full: a *new* bucket is rejected (future pre-resolved kCancelled)…
-  const auto rejected = worker.enqueue(2, 0.2);
-  EXPECT_EQ(rejected.result, RetrainEnqueue::kRejected);
-  EXPECT_EQ(rejected.done.get(), RetrainOutcome::kCancelled);
-  // …but a duplicate of the pending bucket still coalesces — it needs no slot.
-  EXPECT_EQ(worker.enqueue(1, 0.1).result, RetrainEnqueue::kCoalesced);
-  EXPECT_EQ(stats.retrain_counters().rejected, 1u);
-  worker.stop(/*drain=*/false);
+  for (std::uint64_t key = 1; key <= kBound; ++key) {
+    ASSERT_EQ(worker.enqueue(key, 0.5), RetrainEnqueue::kEnqueued);
+  }
+  EXPECT_EQ(worker.depth(), kBound);
+  // Queue full: a *new* key is rejected and nothing is queued…
+  EXPECT_EQ(worker.enqueue(kBound + 1, 0.5), RetrainEnqueue::kRejected);
+  EXPECT_EQ(worker.depth(), kBound);
+  // …but a duplicate of a pending key still coalesces — it needs no slot.
+  EXPECT_EQ(worker.enqueue(1, 0.5), RetrainEnqueue::kCoalesced);
+  const auto counters = stats.retrain_counters();
+  EXPECT_EQ(counters.rejected, 1u);
+  EXPECT_EQ(counters.coalesced, 1u);
+  worker.stop();
+  EXPECT_EQ(stats.retrain_counters().cancelled, kBound);
+}
+
+TEST(RetrainWorker, PoolRunsDistinctKeysAtOnceButOneKeyNeverTwice) {
+  WorkerHarness harness;
+  harness.hold();
+  ServiceStats stats;
+  RetrainWorker worker(harness.fn(), 4, &stats);
+  worker.start();
+
+  // Four distinct keys occupy all four pool threads at once.
+  for (std::uint64_t key = 1; key <= 4; ++key) {
+    ASSERT_EQ(worker.enqueue(key, 0.1), RetrainEnqueue::kEnqueued);
+  }
+  while (harness.running() != 4) std::this_thread::yield();
+  EXPECT_EQ(worker.depth(), 0u);
+  // A running key is still pending: re-enqueueing it coalesces instead of
+  // queueing a second run of it behind the first.
+  for (std::uint64_t key = 1; key <= 4; ++key) {
+    EXPECT_EQ(worker.enqueue(key, 0.1), RetrainEnqueue::kCoalesced);
+  }
+  EXPECT_EQ(worker.depth(), 0u);
+  harness.release();
+  worker.wait_idle();
+  for (std::uint64_t key = 1; key <= 4; ++key) EXPECT_EQ(harness.runs(key), 1);
+
+  // Under fire: producers re-request a small key set while the pool runs it.
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 4; ++p) {
+    producers.emplace_back([&worker] {
+      for (int i = 0; i < 300; ++i) {
+        worker.enqueue(static_cast<std::uint64_t>(i % 6), 0.5);
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  worker.wait_idle();
+  EXPECT_EQ(harness.most_at_once_same_key(), 1);
+  const auto counters = stats.retrain_counters();
+  EXPECT_EQ(static_cast<int>(counters.runs), harness.total_runs());
+  EXPECT_EQ(counters.runs + counters.coalesced + counters.rejected, 8u + 4u * 300u);
+  worker.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +473,33 @@ TEST_F(ServeRetrain, PrefetchRoutesThroughTheRetrainWorker) {
   service.stop();
 }
 
+TEST_F(ServeRetrain, OneBucketRoutedToTwoShardsIsOneRetrainTask) {
+  // Routing bands are 1 % wide and tuner buckets 10 %: 0.76 and 0.84 share
+  // bucket 8 but are pinned to different shards. The service's one lane
+  // still sees both misses as one key.
+  ShardOptions options;
+  options.shards = 2;
+  options.service.workers = 1;
+  core::OnlineTuner tuner(*rafiki_);
+  ASSERT_EQ(tuner.bucket_for(0.76), tuner.bucket_for(0.84));
+  TuningService service(options);
+  service.route_band(TuningService::band_of(0.76), 0);
+  service.route_band(TuningService::band_of(0.84), 1);
+  service.publish(make_snapshot(*rafiki_));
+  service.attach_tuner(tuner);
+
+  tuner.prefetch(0.76);
+  tuner.prefetch(0.84);  // before start(): the first task is still queued
+  EXPECT_EQ(service.retrain_counters().coalesced, 1u);
+
+  service.start();
+  service.wait_retrain_idle();
+  EXPECT_EQ(tuner.optimizer_runs(), 1u);
+  EXPECT_EQ(service.retrain_counters().runs, 1u);
+  EXPECT_TRUE(tuner.cached(0.84));
+  service.stop();
+}
+
 TEST_F(ServeRetrain, ConcurrentOnWindowAndPrefetchAreRaceFree) {
   // Satellite regression (tsan probe): standalone tuner — no service, no
   // async hook, so misses optimize inline — hammered by concurrent
@@ -448,10 +518,10 @@ TEST_F(ServeRetrain, ConcurrentOnWindowAndPrefetchAreRaceFree) {
   }
   for (auto& thread : threads) thread.join();
 
-  // Every regime ended up cached, and coalescing kept the GA to at most one
-  // run per bucket.
+  // Every regime ended up cached. Concurrent inline misses on one bucket
+  // may each run the GA (the first result is kept); one run per bucket is
+  // the retrain lane's guarantee (OneBucketRoutedToTwoShardsIsOneRetrainTask).
   for (double rr : ratios) EXPECT_TRUE(tuner.cached(rr));
-  EXPECT_LE(tuner.optimizer_runs(), ratios.size());
   EXPECT_GE(tuner.optimizer_runs(), 1u);
 }
 

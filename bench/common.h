@@ -10,13 +10,14 @@
 #include <vector>
 
 #include "core/rafiki.h"
+#include "util/cpu.h"
 #include "util/table.h"
 
 namespace rafiki::benchutil {
 
-/// Hardware threads visible to this run — recorded in every BENCH_*.json so
-/// a reader can interpret hardware-conditional gates.
-inline unsigned hw_threads() { return std::thread::hardware_concurrency(); }
+/// CPUs in this run's affinity mask — recorded in every BENCH_*.json so a
+/// reader can interpret hardware-conditional gates, which read it too.
+inline unsigned hw_threads() { return static_cast<unsigned>(util::hw_threads()); }
 
 /// Renders a JSON string array, e.g. ["scaling", "ratio"]. Used for the
 /// `gates_skipped` field every bench JSON carries: the explicit list of

@@ -6,11 +6,13 @@
 //      the RKF2 header) hammer a TenantFleet through real sockets. Every
 //      trace walks the paper's dynamic-workload schedule, offset per tenant
 //      so regime storms hit all tenants at once; ObserveWindow misses are
-//      answered stale-marked while the service's retrain lane, keyed per
-//      tenant, republishes into that tenant's snapshot slot. Gates: zero failed
-//      calls, zero decode errors, frames_in == frames_out (nothing lost on
-//      the wire), zero admission rejects (no quotas configured), and every
-//      tenant's model version advanced — per-tenant retrain fan-out is real.
+//      answered stale-marked while the service's retrain lane, keyed by
+//      (model, bucket), runs one GA per bucket for the fleet's one shared
+//      model and republishes it into every tenant's snapshot slot. Gates:
+//      zero failed calls, zero decode errors, frames_in == frames_out
+//      (nothing lost on the wire), zero admission rejects (no quotas
+//      configured), and every tenant's model version advanced — the
+//      republish fan-out reaches every tenant.
 //      An unknown-tenant probe rides along: a client outside the fleet's id
 //      range must get a clean typed kNotReady for every call, never a
 //      dropped frame.
@@ -164,8 +166,9 @@ void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
   ids.reserve(pipeline);
   for (std::size_t i = 0; i < calls;) {
     // Offset the schedule by tenant id: regime boundaries line up across the
-    // fleet (a coordinated storm) but each tenant shifts to a different
-    // regime, so the per-tenant retrain key-spaces never coalesce.
+    // fleet (a coordinated storm) and each tenant shifts to a different
+    // regime, so every storm asks the fleet's one model for several buckets
+    // at once.
     const double rr =
         regimes[(i / window_every + tenant) % regimes.size()];
     if (i % window_every == 0) {
@@ -270,8 +273,8 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
     }
   }
 
-  // Let every tenant's in-flight background retrains republish before the
-  // per-tenant version audit.
+  // Let the in-flight background retrains republish before the per-tenant
+  // version audit.
   fleet.wait_retrain_idle();
   for (std::size_t t = 0; t < tenants; ++t) {
     if (fleet.tenant_model_version(static_cast<serve::TenantId>(t)) > 1) {
@@ -851,13 +854,13 @@ int main(int argc, char** argv) {
 #else
   constexpr bool kPerfGate = true;
 #endif
-  const bool ratio_gate = kPerfGate && std::thread::hardware_concurrency() >= 8;
+  const bool ratio_gate = kPerfGate && benchutil::hw_threads() >= 8;
 
   // The 1024-vs-256 QPS ratio needs real parallelism for the same reason the
   // isolation ratio does; the syscall-per-frame comparison is counter-based
   // and hardware-independent, but needs both backends in the sweep.
   const bool scaling_qps_gate = kPerfGate &&
-                                std::thread::hardware_concurrency() >= 8 &&
+                                benchutil::hw_threads() >= 8 &&
                                 !smoke;
   // Smoke volumes are too small for the batch-shape difference to clear the
   // margin reliably (a handful of rounds, pipeline 4); the full run is the

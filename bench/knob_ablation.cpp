@@ -221,7 +221,7 @@ ArmResult run_arm(Arm arm, bool smoke, TrueThroughput& truth) {
 
   // Phase B: replay a regime-switching window series through the online
   // tuner, streaming every measured sample into the knob screen. The pruned
-  // arm's re-screens ride run_optimize (the background path in the serve
+  // arm's re-screens ride TunedTable::tune (the background path in the serve
   // layer; inline here in the standalone replay shape).
   workload::MgRastTraceOptions trace;
   trace.duration_s = (smoke ? 3.0 : 12.0) * 3600.0;

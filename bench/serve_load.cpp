@@ -844,13 +844,13 @@ int main(int argc, char** argv) {
   // The shard-scaling bars additionally need 8 hardware threads for the
   // shards to run on; on smaller machines the sweep still runs (and its
   // numbers are recorded) but the ratios are not gated.
-  const bool scaling_gate = kPerfGate && std::thread::hardware_concurrency() >= 8;
+  const bool scaling_gate = kPerfGate && benchutil::hw_threads() >= 8;
 
   // What the recorded numbers were NOT held to, so a BENCH_serve.json from a
   // sanitizer build or a small machine is self-describing.
   std::vector<std::string> gates_skipped;
   if (!kPerfGate) gates_skipped.push_back("perf");
-  if (kPerfGate && std::thread::hardware_concurrency() < 2) {
+  if (kPerfGate && benchutil::hw_threads() < 2) {
     gates_skipped.push_back("offpath_retrain");
   }
   if (!scaling_gate) gates_skipped.push_back("shard_scaling");
@@ -875,7 +875,7 @@ int main(int argc, char** argv) {
   // off-path-retrain bar additionally needs a core for the background
   // thread to run on — with a single hardware thread the GA preempts the
   // request worker and the tail absorbs it regardless of architecture.
-  if (kPerfGate && std::thread::hardware_concurrency() >= 2) {
+  if (kPerfGate && benchutil::hw_threads() >= 2) {
     pass = pass && regime.observe_p99_us < regime.retrain_mean_us;
   }
   if (kPerfGate) pass = pass && single_batched->p99_us < 1000.0;

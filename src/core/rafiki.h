@@ -153,7 +153,7 @@ class Rafiki {
 
   /// Re-cuts the active knob set from the current blended ranking. Returns
   /// true when the active set actually changed. Intended to run on the
-  /// background optimize path (OnlineTuner::run_optimize / RetrainWorker),
+  /// background optimize path (TunedTable::tune / RetrainWorker),
   /// never on a request thread.
   bool rescreen() const;
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/cpu.h"
 #include "util/sync.h"
 
 namespace rafiki::ml {
@@ -48,9 +49,7 @@ void SurrogateEnsemble::fit(const std::vector<std::vector<double>>& X,
   nets.assign(options.n_nets, Mlp(layers));
   errors.assign(options.n_nets, 0.0);
 
-  std::size_t threads =
-      options.train_threads ? options.train_threads
-                            : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  std::size_t threads = options.train_threads ? options.train_threads : util::hw_threads();
   threads = std::min(threads, options.n_nets);
 
   const auto train_member = [&](std::size_t k) {

@@ -72,7 +72,10 @@ void gram_avx2(const double* x, std::size_t rows, std::size_t cols, double* out)
   gram_body(x, rows, cols, out);
 }
 
-__attribute__((target("avx512f")))
+// The row loop stays a loop: vectorized across rows it read one row past
+// the end of x (a fault when x ends at an unmapped page, as a large
+// Jacobian's own allocation can) and ran slower than the tile's own vectors.
+__attribute__((target("avx512f"), optimize("no-tree-loop-vectorize")))
 void gram_avx512(const double* x, std::size_t rows, std::size_t cols, double* out) {
   gram_body(x, rows, cols, out);
 }

@@ -35,6 +35,7 @@
 #include <thread>
 #include <utility>
 
+#include "util/cpu.h"
 #include "util/sync.h"
 
 namespace rafiki::serve {
@@ -163,10 +164,9 @@ class BoundedQueue {
   }
 
   static std::uint32_t spin_iterations() noexcept {
-    // On a single hardware thread the producer cannot make progress while a
+    // On a single allowed CPU the producer cannot make progress while a
     // consumer spins — go straight to the blocking wait there.
-    static const std::uint32_t iterations =
-        std::thread::hardware_concurrency() > 1 ? 128 : 0;
+    static const std::uint32_t iterations = util::hw_threads() > 1 ? 128 : 0;
     return iterations;
   }
 

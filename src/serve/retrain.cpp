@@ -14,7 +14,7 @@ RetrainWorker::RetrainWorker(RunFn run, std::size_t threads, ServiceStats* stats
 
 RetrainWorker::~RetrainWorker() { stop(); }
 
-RetrainEnqueue RetrainWorker::enqueue(std::uint64_t key, double read_ratio) {
+RetrainEnqueue RetrainWorker::enqueue(std::uint64_t key) {
   RetrainEnqueue result = RetrainEnqueue::kEnqueued;
   std::size_t depth_after = 0;
   {
@@ -27,7 +27,7 @@ RetrainEnqueue RetrainWorker::enqueue(std::uint64_t key, double read_ratio) {
       result = RetrainEnqueue::kRejected;
     } else {
       pending_.insert(key);
-      tasks_.push_back(Task{key, read_ratio});
+      tasks_.push_back(key);
       depth_after = tasks_.size();
     }
   }
@@ -52,32 +52,32 @@ void RetrainWorker::start() {
 
 void RetrainWorker::loop() {
   for (;;) {
-    Task task;
+    std::uint64_t key = 0;
     {
       MutexLock lock(mutex_);
       while (!stopping_ && tasks_.empty()) ready_.wait(mutex_);
       if (stopping_) break;  // stop() cancels whatever is still queued
-      task = tasks_.front();
+      key = tasks_.front();
       tasks_.pop_front();
     }
 
     // det:ok(wall-clock): reporting-only retrain latency measurement
     const auto t0 = std::chrono::steady_clock::now();
-    const bool ran = run_(task.key, task.read_ratio);
+    const bool ran = run_(key);
     // det:ok(wall-clock): reporting-only retrain latency measurement
     const auto t1 = std::chrono::steady_clock::now();
     if (stats_ && ran) {
       stats_->record_retrain(
           std::chrono::duration<double, std::micro>(t1 - t0).count());
     } else if (stats_) {
-      // A run that finished after this task was enqueued already cached the
-      // bucket, so no GA ran: count it with the coalesced requests.
+      // A run that finished after this task was enqueued already installed
+      // the bucket, so no GA ran: count it with the coalesced requests.
       stats_->record_retrain_coalesced();
     }
 
     {
       MutexLock lock(mutex_);
-      pending_.erase(task.key);
+      pending_.erase(key);
     }
     idle_.notify_all();
   }

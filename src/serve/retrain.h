@@ -1,21 +1,24 @@
 // Background retrain lane: the serve layer's guarantee that no GA (or,
 // later, collect+train) ever runs on a request-path thread. ObserveWindow's
 // stale-while-revalidate misses, and OnlineTuner::prefetch, enqueue
-// (tenant, bucket) tasks here; a small pool of dedicated threads runs them
-// and the results flow back through the tuner's publish hook into the
-// versioned SnapshotRegistry — so a regime change costs the request path one
-// queue push, never an optimizer spike. A TuningService owns exactly one
-// lane, with one pool thread per shard.
+// (model, bucket) tasks here; a small pool of dedicated threads runs them,
+// installs each result in the model's tuned table and republishes it into
+// every tenant slot of that model through the versioned SnapshotRegistry —
+// so a regime change costs the request path one queue push, never an
+// optimizer spike, and a bucket costs one GA however many tenants ask. A
+// TuningService owns exactly one lane, with one pool thread per shard.
 //
 //   * Bounded task queue — kQueuePerThread tasks per pool thread; a full
 //     backlog rejects the newest key (retrying is free: the next stale
 //     window re-enqueues) instead of growing unboundedly.
 //   * One pending-key set — a key is pending from enqueue until its run
 //     returns, queued or running. A request for a pending key coalesces into
-//     that task, so N same-bucket stale windows cost one GA run, and no key
-//     is ever optimized on two pool threads at once. A task whose run
-//     function reports that no GA ran (the tuner's memo cache already held
-//     the bucket) counts as coalesced too, so `runs` counts real GA runs.
+//     that task, so N same-bucket stale windows of any tenants of one model
+//     cost one GA run, and no key is ever optimized on two pool threads at
+//     once. A task whose run function reports that no GA ran (the table
+//     already held the bucket) counts as coalesced too, so `runs` counts
+//     real GA runs. Nothing waits on another thread's GA: the run that
+//     lands answers every tenant through the table.
 //   * Cancel on stop — stop() drops the queued backlog (nobody waits on it
 //     once the service goes down; a restart re-enqueues on the next stale
 //     window); a task already running always completes.
@@ -32,21 +35,20 @@
 #include <vector>
 
 #include "serve/stats.h"
-#include "serve/types.h"
 #include "util/sync.h"
 
 namespace rafiki::serve {
 
-/// Composes the retrain coalescing key from a tenant namespace and a
-/// read-ratio bucket. Each tenant owns a disjoint key-space: tenant A's
-/// bucket-7 GA run never coalesces against (or dedups) tenant B's bucket-7
-/// run, because their keys differ in the high word.
-constexpr std::uint64_t retrain_key(TenantId tenant, int bucket) noexcept {
-  return (static_cast<std::uint64_t>(tenant) << 32) |
-         static_cast<std::uint32_t>(bucket);
+/// Composes the retrain coalescing key from a model (the service's index of
+/// a tuned table) and a read-ratio bucket. Every tenant of one model shares
+/// its key-space, so their misses for one bucket coalesce into one GA run;
+/// tenants over different models never coalesce, because their keys differ
+/// in the high word.
+constexpr std::uint64_t retrain_key(std::uint32_t model, int bucket) noexcept {
+  return (static_cast<std::uint64_t>(model) << 32) | static_cast<std::uint32_t>(bucket);
 }
-constexpr TenantId retrain_key_tenant(std::uint64_t key) noexcept {
-  return static_cast<TenantId>(key >> 32);
+constexpr std::uint32_t retrain_key_model(std::uint64_t key) noexcept {
+  return static_cast<std::uint32_t>(key >> 32);
 }
 constexpr int retrain_key_bucket(std::uint64_t key) noexcept {
   return static_cast<int>(static_cast<std::uint32_t>(key));
@@ -70,9 +72,9 @@ class RetrainWorker {
   /// one: false means the work was already done (recorded as coalesced, not
   /// as a run). Invoked on a pool thread with no lane lock held, never for
   /// the same key on two threads at once. `key` is the coalescing key,
-  /// retrain_key(tenant, bucket). (The serve layer points this at
-  /// OnlineTuner::run_optimize, which returns false for a cached bucket.)
-  using RunFn = std::function<bool(std::uint64_t key, double read_ratio)>;
+  /// retrain_key(model, bucket). (The serve layer points this at
+  /// core::TunedTable::tune, which runs nothing for a bucket it holds.)
+  using RunFn = std::function<bool(std::uint64_t key)>;
 
   /// Queued-task bound per pool thread.
   static constexpr std::size_t kQueuePerThread = 64;
@@ -88,7 +90,7 @@ class RetrainWorker {
 
   /// Requests a background optimization for this coalescing key. Never
   /// blocks and never runs the optimizer on the calling thread.
-  RetrainEnqueue enqueue(std::uint64_t key, double read_ratio);
+  RetrainEnqueue enqueue(std::uint64_t key);
 
   /// Spawns the pool (idempotent; no-op after stop()).
   void start();
@@ -104,11 +106,6 @@ class RetrainWorker {
   void wait_idle();
 
  private:
-  struct Task {
-    std::uint64_t key = 0;
-    double read_ratio = 0.0;
-  };
-
   void loop();
 
   RunFn run_;
@@ -119,7 +116,8 @@ class RetrainWorker {
   mutable Mutex mutex_;
   CondVar ready_;
   CondVar idle_;
-  std::deque<Task> tasks_ GUARDED_BY(mutex_);
+  /// Queued keys, oldest first.
+  std::deque<std::uint64_t> tasks_ GUARDED_BY(mutex_);
   /// Keys of queued AND running tasks: a key is erased only when its run
   /// returns, so same-key requests coalesce for the task's whole lifetime.
   std::set<std::uint64_t> pending_ GUARDED_BY(mutex_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #if defined(__linux__)
@@ -11,6 +12,7 @@
 #endif
 
 #include "core/online.h"
+#include "util/cpu.h"
 
 namespace rafiki::serve {
 namespace {
@@ -20,11 +22,6 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 double elapsed_us(std::chrono::steady_clock::time_point since,
                   std::chrono::steady_clock::time_point until) {
   return std::chrono::duration<double, std::micro>(until - since).count();
-}
-
-std::size_t hw_threads() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
 }
 
 ShardOptions sanitize(ShardOptions options) {
@@ -50,19 +47,19 @@ std::size_t resolve_budget(const ShardOptions& options) noexcept {
   if (options.worker_budget > 0) return std::max(options.worker_budget, options.shards);
   if (options.service.workers == 0) return 0;  // test mode: no workers anywhere
   const std::size_t requested = options.shards * options.service.workers;
-  return std::max(options.shards, std::min(hw_threads(), requested));
+  return std::max(options.shards, std::min(util::hw_threads(), requested));
 }
 
-/// Contiguous CPU slice for shard i of n: [i*H/n, (i+1)*H/n). With more
-/// shards than CPUs the slice is empty — fall back to a single shared CPU
-/// (i % H) so pinning still separates shards as far as the machine allows.
+/// Contiguous slice of the H allowed CPUs for shard i of n: entries
+/// [i*H/n, (i+1)*H/n) of the affinity mask's ids. With more shards than
+/// CPUs the slice is empty — fall back to a single shared CPU (entry i % H)
+/// so pinning still separates shards as far as the mask allows.
 std::vector<int> shard_cpu_slice(std::size_t shard, std::size_t shards) {
-  const std::size_t hw = hw_threads();
-  const std::size_t lo = shard * hw / shards;
-  const std::size_t hi = (shard + 1) * hw / shards;
-  std::vector<int> cpus;
-  for (std::size_t cpu = lo; cpu < hi; ++cpu) cpus.push_back(static_cast<int>(cpu));
-  if (cpus.empty()) cpus.push_back(static_cast<int>(shard % hw));
+  const std::vector<int> allowed = util::allowed_cpus();
+  const std::size_t hw = allowed.size();
+  std::vector<int> cpus(allowed.begin() + static_cast<std::ptrdiff_t>(shard * hw / shards),
+                        allowed.begin() + static_cast<std::ptrdiff_t>((shard + 1) * hw / shards));
+  if (cpus.empty()) cpus.push_back(allowed[shard % hw]);
   return cpus;
 }
 
@@ -177,18 +174,18 @@ TuningService::TuningService(ShardOptions options)
     : options_(sanitize(std::move(options))),
       registries_(options_.service.tenants),
       version_counters_(options_.service.tenants, 0),
-      tuned_(options_.service.tenants),
+      models_(options_.service.tenants),
+      model_of_(options_.service.tenants),
       tuners_(options_.service.tenants),
       shards_(make_shards(options_)),
-      // The lane delegates to the owning tenant's optimize path; the tuner
-      // turns an already-cached bucket into a no-op (reported as not run),
-      // and its publish hook republishes the result into the tenant's slot.
       retrain_(
-          [this](std::uint64_t key, double read_ratio) {
-            auto* tuner = tuner_for(retrain_key_tenant(key));
-            return tuner != nullptr && tuner->run_optimize(read_ratio);
+          [this](std::uint64_t key) {
+            return run_retrain(retrain_key_model(key), retrain_key_bucket(key));
           },
           shards_.size(), &shards_.front()->stats_) {
+  // Every tenant starts as a model of its own; attach_tenant_tuner moves it
+  // into its tuner's table's model.
+  std::iota(model_of_.begin(), model_of_.end(), 0u);
   const std::size_t n = shards_.size();
   for (std::size_t slot = 0; slot < kRouteSlots; ++slot) {
     // Initial slot->shard spread reuses the same pure mix (of the slot
@@ -315,9 +312,11 @@ std::uint64_t TuningService::publish(ModelSnapshot snapshot) {
 }
 
 std::uint64_t TuningService::publish_locked(TenantId tenant, ModelSnapshot snapshot) {
-  // The tenant's tuned configs survive a full publish; an entry the
-  // published snapshot already carries for the same bucket wins.
-  for (const auto& [bucket, entry] : tuned_[tenant]) snapshot.tuned.emplace(bucket, entry);
+  // The model's tuned configs survive a full publish; an entry the published
+  // snapshot already carries for the same bucket wins.
+  for (const auto& [bucket, entry] : models_[model_of_[tenant]].tuned) {
+    snapshot.tuned.emplace(bucket, entry);
+  }
   snapshot.version = ++version_counters_[tenant];
   const std::uint64_t version = snapshot.version;
   registries_[tenant].set(std::make_shared<const ModelSnapshot>(std::move(snapshot)));
@@ -331,33 +330,65 @@ std::uint64_t TuningService::tenant_model_version(TenantId tenant) const {
 
 void TuningService::attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner) {
   if (tenant >= tuners_.size()) return;
-  tuner.set_publish_hook([this, tenant](int bucket, const core::Rafiki::OptimizeResult& result) {
-    publish_tuned(tenant, bucket, result.config, result.predicted_throughput);
-  });
-  // Route the tuner's cache misses (ObserveWindow staleness, prefetch) to the
-  // one retrain lane, whose pending-key set sees every request for a
-  // (tenant, bucket): no GA ever runs on a request-path thread, a bucket is
-  // never optimized twice at once, and tenants never coalesce with each
-  // other.
-  tuner.set_async_optimize_hook([this, tenant](int bucket, double read_ratio) {
-    retrain_.enqueue(retrain_key(tenant, bucket), read_ratio);
+  const std::shared_ptr<core::TunedTable>& table = tuner.table();
+  std::uint32_t model = 0;
+  {
+    MutexLock lock(publish_mutex_);
+    const auto it = std::find_if(models_.begin(), models_.end(),
+                                 [&table](const Model& m) { return m.table == table; });
+    model = static_cast<std::uint32_t>(it - models_.begin());
+    if (it == models_.end()) models_.push_back(Model{table, {}});
+    model_of_[tenant] = model;
+  }
+  // Route the tuner's misses (ObserveWindow staleness, prefetch) to the one
+  // retrain lane, whose pending-key set sees every request for a (model,
+  // bucket): no GA ever runs on a request-path thread, a bucket is never
+  // optimized twice at once, and the tenants of one model share each run.
+  tuner.set_async_optimize_hook([this, model](int bucket) {
+    retrain_.enqueue(retrain_key(model, bucket));
   });
   tuners_[tenant].store(&tuner, std::memory_order_release);
 }
 
+bool TuningService::run_retrain(std::uint32_t model, int bucket) {
+  std::shared_ptr<core::TunedTable> table;
+  {
+    MutexLock lock(publish_mutex_);
+    table = models_[model].table;
+  }
+  // The table takes the result first, so every tuner of the model adopts it
+  // on its next window; then each of the model's slots republishes it. No
+  // thread waits on this GA: a tenant that missed meanwhile coalesced here,
+  // and finds the entry in the table.
+  if (table == nullptr || !table->tune(bucket)) return false;
+  if (const auto tuned = table->find(bucket)) {
+    MutexLock lock(publish_mutex_);
+    publish_model_tuned_locked(model, bucket,
+                               TunedEntry{tuned->config, tuned->predicted_throughput});
+  }
+  return true;
+}
+
 void TuningService::publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
                                   double predicted) {
+  if (tenant >= registries_.size()) return;
+  MutexLock lock(publish_mutex_);
+  publish_model_tuned_locked(model_of_[tenant], bucket, TunedEntry{config, predicted});
+}
+
+void TuningService::publish_model_tuned_locked(std::uint32_t model, int bucket,
+                                               const TunedEntry& entry) {
   // Copy-on-write republication: the tuned-config table rides inside the
   // immutable snapshot, so readers see it with the same lock-free load.
-  if (tenant >= registries_.size()) return;
-  const TunedEntry entry{config, predicted};
-  MutexLock lock(publish_mutex_);
-  tuned_[tenant][bucket] = entry;
-  const auto current = registries_[tenant].get();
-  if (!current) return;  // no real model yet: the first publish() stamps it in
-  ModelSnapshot next = *current;
-  next.tuned[bucket] = entry;
-  publish_locked(tenant, std::move(next));
+  models_[model].tuned[bucket] = entry;
+  for (TenantId tenant = 0; tenant < registries_.size(); ++tenant) {
+    if (model_of_[tenant] != model) continue;
+    const auto current = registries_[tenant].get();
+    if (!current) continue;  // no real model yet: the first publish() stamps it in
+    ModelSnapshot next = *current;
+    next.tuned[bucket] = entry;
+    publish_locked(tenant, std::move(next));
+  }
 }
 
 // --- admission --------------------------------------------------------------------
@@ -555,10 +586,10 @@ void TuningService::run_single(Shard& shard, Job job) {
         break;
       }
       // The tuner is internally synchronized. With the async-optimize hook
-      // attached (attach_tenant_tuner), a cache miss returns immediately
+      // attached (attach_tenant_tuner), a table miss returns immediately
       // with a stale-marked decision and the bucket lands on the retrain
-      // lane; the publish hook republishes the tuned config as a new
-      // snapshot version once the background GA completes.
+      // lane, which republishes the tuned config as a new snapshot version
+      // of every tenant of the model once the background GA completes.
       const auto decision = tuner->on_window(job.request.read_ratio);
       response.status = Status::kOk;
       response.model_version = tenant_model_version(job.request.tenant);

@@ -11,7 +11,9 @@
 //                            └──▶ kOverloaded: spill to shard k+1 ...
 //
 //      per tenant, once per service: snapshot slot, version counter,
-//      tuned table, tuner pointer — every shard reads the same slot
+//      tuner pointer — every shard reads the same slot
+//      per model (one tuned table, the tenants whose tuners read it):
+//      the tuned entries stamped into each of those tenants' snapshots
 //      once per service: the retrain lane (one pool thread per shard, one
 //      pending-key set)
 //
@@ -27,10 +29,11 @@
 //     slot behind an atomic shared_ptr; in-flight requests keep the version
 //     they started with. Snapshot copies share the fitted ensemble, so a
 //     publish costs one small header per tenant, whatever the shard count.
-//   * Async retraining — ObserveWindow is stale-while-revalidate: a cache
-//     miss answers immediately with the current config (Response::stale set)
-//     and enqueues the (tenant, bucket) key on the service's one retrain
-//     lane; the GA never runs on a request-path worker (serve/retrain.h).
+//   * Async retraining — ObserveWindow is stale-while-revalidate: a tuned-
+//     table miss answers immediately with the current config
+//     (Response::stale set) and enqueues the (model, bucket) key on the
+//     service's one retrain lane; the GA never runs on a request-path worker
+//     (serve/retrain.h), and one GA per model answers every tenant of it.
 //   * Sharding — requests are routed by a stable fingerprint of their
 //     (tenant, read-ratio band) key (band = percent bucket of the read ratio,
 //     the tuner's cache quantization) hashed into a fixed table of route
@@ -70,16 +73,20 @@
 
 namespace rafiki::core {
 class OnlineTuner;
+class TunedTable;
 }
 
 namespace rafiki::serve {
 
 struct ServiceOptions {
   /// Tenant namespaces served by this instance (dense ids [0, tenants)).
-  /// Every tenant gets its own snapshot slot, version counter, tuned table,
-  /// tuner pointer, and retrain coalescing key-space. 1 (the default) is
-  /// exactly the original single-tenant service: tenant 0 is the default
-  /// namespace pre-tenant callers land in. 0 is normalized to 1.
+  /// Every tenant gets its own snapshot slot, version counter and tuner
+  /// pointer. Tuned entries and retrain keys belong to the tenant's model:
+  /// the tuned table its tuner reads, shared by every tenant whose tuner
+  /// reads the same table (a tenant with no tuner is a model of its own).
+  /// 1 (the default) is exactly the original single-tenant service: tenant
+  /// 0 is the default namespace pre-tenant callers land in. 0 is normalized
+  /// to 1.
   std::size_t tenants = 1;
   /// Worker threads spawned by start() for a one-shard service. 0 is valid
   /// (and useful in tests): requests queue deterministically until stop().
@@ -111,15 +118,16 @@ struct ShardOptions {
   /// Fleet-level worker budget, divided across shards (shard i gets
   /// budget/N workers, +1 for the first budget%N shards). 0 (the default)
   /// derives the budget from `service.workers` capped by the machine:
-  /// min(hardware_concurrency, shards * service.workers), floored at one
+  /// min(util::hw_threads(), shards * service.workers), floored at one
   /// worker per shard. This is the de-scaling fix — giving every shard its
   /// own full `service.workers` pool made 8 shards x (2 workers + a retrain
   /// thread) oversubscribe any host with fewer than ~24 hardware threads.
   /// An explicit budget is clamped to at least one worker per shard.
   /// service.workers == 0 keeps every shard at zero workers (test mode).
   std::size_t worker_budget = 0;
-  /// Pin each shard's workers to a contiguous CPU range (shard i gets CPUs
-  /// [i*H/N, (i+1)*H/N) of H = hardware_concurrency). Off (the default):
+  /// Pin each shard's workers to a contiguous slice of the CPUs in the
+  /// affinity mask (shard i gets entries [i*H/N, (i+1)*H/N) of the H
+  /// allowed CPU ids, util::allowed_cpus()). Off (the default):
   /// the scheduler places threads freely. Linux-only; elsewhere a no-op.
   bool pin_shards = false;
   /// On a home-shard Overloaded verdict, try up to this many sibling shards
@@ -214,8 +222,8 @@ class TuningService : public TuningBackend {
   TuningService& operator=(const TuningService&) = delete;
 
   /// See TuningBackend::publish. Stamps the snapshot into every tenant slot
-  /// (each slot its own version, with the tenant's tuned table folded in);
-  /// returns tenant 0's new version.
+  /// (each slot its own version, with the tenant's model's tuned entries
+  /// folded in); returns tenant 0's new version.
   std::uint64_t publish(ModelSnapshot snapshot) override;
 
   /// Tenant 0's currently published snapshot (null before the first publish).
@@ -233,17 +241,20 @@ class TuningService : public TuningBackend {
   /// Enables the ObserveWindow endpoint for tenant 0; see attach_tenant_tuner.
   void attach_tuner(core::OnlineTuner& tuner) override { attach_tenant_tuner(0, tuner); }
   /// Wires the tuner serving one tenant namespace (it must outlive this
-  /// service). The tuner becomes stale-while-revalidate: its cache misses
-  /// and prefetches enqueue on the retrain lane under the tenant's own
-  /// key-space, and its publish hook republishes every freshly optimized
-  /// config into the tenant's slot. Call before start().
+  /// service). The tenant joins the model of the tuner's table: every tenant
+  /// whose tuner reads that table. The tuner becomes
+  /// stale-while-revalidate: its misses and prefetches enqueue on the
+  /// retrain lane under retrain_key(model, bucket), and the lane installs
+  /// each result in the table, then republishes it into every slot of the
+  /// model. Call before start().
   void attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
 
-  /// Records one tuned (bucket -> config) entry in `tenant`'s tuned table and
-  /// republishes the tenant's current snapshot with it (copy-on-write). Every
-  /// other tenant's served snapshot (pointer, version, configs) is untouched.
-  /// Before the tenant's first publish() no version is minted; the entry
-  /// waits in the table.
+  /// Records one tuned (bucket -> config) entry for `tenant`'s model and
+  /// republishes the current snapshot of each of the model's tenants with it
+  /// (copy-on-write). A tenant with no tuner is a model of its own, so every
+  /// other tenant's served snapshot (pointer, version, configs) is
+  /// untouched. A tenant that has not been published yet mints no version;
+  /// the entry waits for its first publish().
   void publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
                      double predicted);
 
@@ -293,7 +304,7 @@ class TuningService : public TuningBackend {
   const Shard& shard(std::size_t index) const { return *shards_[index]; }
   /// Total worker threads across all shards — the sum of every shard's
   /// worker_count(). Never exceeds max(worker_budget, shards) for an
-  /// explicit budget, nor max(min(hardware_concurrency, shards *
+  /// explicit budget, nor max(min(util::hw_threads(), shards *
   /// service.workers), shards) for the derived one (0 when service.workers
   /// == 0).
   std::size_t resolved_worker_budget() const noexcept;
@@ -336,8 +347,27 @@ class TuningService : public TuningBackend {
     return tenant < tuners_.size() ? tuners_[tenant].load(std::memory_order_acquire)
                                    : nullptr;
   }
+  /// The retrain lane's task: tunes one bucket of one model's table, then
+  /// republishes what it installed. Returns whether a GA ran.
+  bool run_retrain(std::uint32_t model, int bucket);
   std::uint64_t publish_locked(TenantId tenant, ModelSnapshot snapshot)
       REQUIRES(publish_mutex_);
+  void publish_model_tuned_locked(std::uint32_t model, int bucket, const TunedEntry& entry)
+      REQUIRES(publish_mutex_);
+
+  /// A tuned table, read by the tuners of every tenant whose model_of_
+  /// entry names it.
+  struct Model {
+    /// Null for a tenant with no tuner, which is a model of its own. Shared
+    /// with the tuners, so a task queued before a re-attach still finds it.
+    std::shared_ptr<core::TunedTable> table;
+    /// Every entry published for the model, stamped into each snapshot its
+    /// tenants publish (an entry the published snapshot already carries
+    /// wins). Entries published before a tenant's first real snapshot wait
+    /// here instead of minting a version around an untrained default
+    /// ModelSnapshot.
+    std::map<int, TunedEntry> tuned;
+  };
 
   ShardOptions options_;
   /// Per-tenant snapshot slots, indexed by TenantId (deque: a
@@ -348,18 +378,18 @@ class TuningService : public TuningBackend {
   /// Per-tenant version counters; each tenant's versions are monotonic in
   /// its own slot (publishes to tenant A never advance tenant B).
   std::vector<std::uint64_t> version_counters_ GUARDED_BY(publish_mutex_);
-  /// Per-tenant tuned tables: every entry the tenant's tuner published,
-  /// stamped into each snapshot the tenant publishes (an entry the published
-  /// snapshot already carries wins). Entries published before any real
-  /// snapshot exists wait here instead of minting a version around an
-  /// untrained default ModelSnapshot.
-  std::vector<std::map<int, TunedEntry>> tuned_ GUARDED_BY(publish_mutex_);
+  /// Models, indexed by the high word of a retrain key: entry t starts as
+  /// tenant t's own model, and attach_tenant_tuner appends one per distinct
+  /// tuned table.
+  std::vector<Model> models_ GUARDED_BY(publish_mutex_);
+  /// Per-tenant index into models_.
+  std::vector<std::uint32_t> model_of_ GUARDED_BY(publish_mutex_);
   /// Per-tenant tuner pointers, indexed by TenantId; null until attached.
   std::deque<std::atomic<core::OnlineTuner*>> tuners_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// The one retrain lane: ObserveWindow misses and tuner prefetches of
-  /// every tenant, recording into shard 0's stats. Declared after shards_,
+  /// every model, recording into shard 0's stats. Declared after shards_,
   /// so it is destroyed (stopped) first.
   RetrainWorker retrain_;
   /// route slot -> shard index. uint8 caps shards at 128 (clamped in the

@@ -6,9 +6,9 @@ namespace rafiki::tenant {
 
 FleetOptions TenantFleet::sanitize(FleetOptions options) {
   if (options.tenants == 0) options.tenants = 1;
-  // One snapshot slot / version counter / retrain key-space per tenant in
-  // the service; whatever the caller left in shard.service.tenants is
-  // overridden — the fleet is the single source of truth for the tenant set.
+  // One snapshot slot / version counter / tuner per tenant in the service;
+  // whatever the caller left in shard.service.tenants is overridden — the
+  // fleet is the single source of truth for the tenant set.
   options.shard.service.tenants = options.tenants;
   return options;
 }
@@ -22,9 +22,12 @@ TenantFleet::~TenantFleet() { stop(); }
 
 void TenantFleet::attach_rafiki(const core::Rafiki& rafiki,
                                 core::OnlineTunerOptions tuner_options) {
+  // One model: every tenant's tuner reads one table, so a bucket is tuned
+  // once for the fleet and each tenant keeps only its own current config.
+  const auto table = std::make_shared<core::TunedTable>(rafiki, tuner_options.rr_bucket);
   for (std::size_t t = 0; t < registry_.size(); ++t) {
     TenantState& state = registry_.at(t);
-    state.tuner = std::make_unique<core::OnlineTuner>(rafiki, tuner_options);
+    state.tuner = std::make_unique<core::OnlineTuner>(table, tuner_options);
     router_.attach_tenant_tuner(static_cast<serve::TenantId>(t), *state.tuner);
   }
 }

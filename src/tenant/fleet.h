@@ -1,6 +1,7 @@
 // Multi-tenant fleet serving: one process answers many tenant namespaces
-// from a single TuningService, with per-tenant models, per-tenant admission
-// quotas, and telemetry-driven rebalance.
+// from a single TuningService, with per-tenant snapshot slots and tuners
+// over one shared model, per-tenant admission quotas, and telemetry-driven
+// rebalance.
 //
 //   client ──RKF2 frame (tenant t)──▶ net::Server
 //                                        │ try_submit(request{tenant=t})
@@ -11,16 +12,22 @@
 //                                        ▼                       (quota)
 //                                  TuningService
 //                              route (tenant, band) ──▶ shard k
-//                                        │ per-tenant snapshot slot,
-//                                        │ tuned table, retrain keys
+//                                        │ per-tenant snapshot slot;
+//                                        │ per-model tuned entries,
+//                                        │ retrain keys (model, bucket)
 //                                        ▼
 //                                 per-tenant OnlineTuner (registry-owned)
+//                                        │ reads
+//                                        ▼
+//                                 one core::TunedTable for the fleet
 //
 // The fleet is a TuningBackend decorator: everything below admission is the
 // one TuningService, configured with one snapshot slot / version counter /
-// tuned table / retrain key-space per tenant. Tenant 0 is the default
-// namespace, so a fleet of one is bit-for-bit the original single-tenant
-// stack.
+// tuner per tenant. attach_rafiki gives every tenant's tuner one shared
+// tuned table, so the fleet is one model to the service: a bucket's GA runs
+// once and its result republishes into every tenant's slot. Tenant 0 is the
+// default namespace, so a fleet of one is bit-for-bit the original
+// single-tenant stack.
 //
 // Admission order is deliberate: registry lookup (unknown tenant -> the
 // typed kNotReady the wire already carries), then the in-flight cap, then
@@ -64,10 +71,11 @@ class TenantFleet : public serve::TuningBackend {
   TenantFleet(const TenantFleet&) = delete;
   TenantFleet& operator=(const TenantFleet&) = delete;
 
-  /// Builds one OnlineTuner per tenant over the shared trained model and
-  /// attaches each to the service (per-tenant republish, per-tenant retrain
-  /// key-space, ObserveWindow binding). `rafiki` must be trained and must
-  /// outlive this fleet. Call before start().
+  /// Builds one tuned table over the trained model and one OnlineTuner per
+  /// tenant reading it, and attaches each tuner to the service
+  /// (ObserveWindow binding; one retrain key-space and one republish fan-out
+  /// for the whole fleet). `rafiki` must be trained and must outlive this
+  /// fleet. Call before start().
   void attach_rafiki(const core::Rafiki& rafiki,
                      core::OnlineTunerOptions tuner_options = {});
 

@@ -3,6 +3,7 @@
 // the host's best variant, so without these tests an AVX-512 machine would
 // never execute the AVX2 paths (and vice versa). A variant the CPU cannot
 // run is skipped.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +14,11 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "ml/activation.h"
 #include "ml/kernels.h"
@@ -115,6 +121,34 @@ TEST_P(KernelVariant, GramMatchesScalarRankOneUpdates) {
     EXPECT_TRUE(same_bits(got, expected)) << c.rows << " x " << c.cols;
   }
 }
+
+#if defined(__linux__)
+TEST_P(KernelVariant, GramReadsNothingPastTheMatrix) {
+  // The matrix ends right before an unreadable page, so any read past its
+  // last element faults instead of passing unnoticed.
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{64}}) {
+    for (const std::size_t cols : {std::size_t{8}, std::size_t{13}, std::size_t{163}}) {
+      const std::size_t bytes = rows * cols * sizeof(double);
+      const std::size_t span = (bytes + page - 1) / page * page;
+      void* region = mmap(nullptr, span + page, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      ASSERT_NE(region, MAP_FAILED);
+      char* base = static_cast<char*>(region);
+      ASSERT_EQ(mprotect(base + span, page, PROT_NONE), 0);
+      auto* x = reinterpret_cast<double*>(base + span - bytes);
+      const auto values = uniform(rows * cols, -1.0, 1.0, rows * 1000 + cols);
+      std::copy(values.begin(), values.end(), x);
+      std::vector<double> got(cols * cols);
+      std::vector<double> expected(cols * cols);
+      kernels::gram_isa(GetParam(), x, rows, cols, got.data());
+      kernels::gram_isa(Isa::kScalar, values.data(), rows, cols, expected.data());
+      EXPECT_TRUE(same_bits(got, expected)) << rows << " x " << cols;
+      munmap(region, span + page);
+    }
+  }
+}
+#endif
 
 TEST_P(KernelVariant, FastTanhBlockKeepsNaNAndClampsInfinityInEveryLane) {
   // The SIMD clamp must not turn NaN into a bound: a NaN in any lane of a

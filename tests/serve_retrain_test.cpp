@@ -1,11 +1,12 @@
 // RetrainWorker (the retrain lane) and the stale-while-revalidate
 // ObserveWindow path: lifecycle edges (stop-before-start, stop with a retrain
 // in flight), per-key coalescing of duplicate requests into one GA run (a
-// memo-hit task counts as coalesced, not as a run), a pool that runs distinct
-// keys at once but never one key twice, one bucket routed to two shards
-// still costing one retrain task, the stale-then-fresh window sequence under
-// an injected clock, tuned entries buffered until the first real snapshot
-// publish and kept across later full publishes, and the tuner's internal
+// task whose bucket the table already holds counts as coalesced, not as a
+// run), a pool that runs distinct keys at once but never one key twice, one
+// bucket routed to two shards still costing one retrain task, the
+// stale-then-fresh window sequence under an injected clock, tuned entries
+// buffered until the first real snapshot publish and kept across later full
+// publishes, the GA running at the bucket centre, and the tuner's internal
 // synchronization under concurrent on_window/prefetch callers (a tsan
 // probe).
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,7 +42,7 @@ class WorkerHarness {
   /// Counts finished runs per key, and how many runs of one key were ever in
   /// progress at once (a double run reads 2).
   RetrainWorker::RunFn fn() {
-    return [this](std::uint64_t key, double /*read_ratio*/) {
+    return [this](std::uint64_t key) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
         ++running_total_;
@@ -119,8 +121,8 @@ TEST(RetrainWorker, StopBeforeStartCancelsBacklogWithoutLosingFutures) {
   ServiceStats stats;
   RetrainWorker worker(harness.fn(), 1, &stats);
 
-  ASSERT_EQ(worker.enqueue(1, 0.1), RetrainEnqueue::kEnqueued);
-  ASSERT_EQ(worker.enqueue(2, 0.2), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(1), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(2), RetrainEnqueue::kEnqueued);
   EXPECT_EQ(worker.depth(), 2u);
 
   worker.stop();  // never started: nothing may hang
@@ -130,7 +132,7 @@ TEST(RetrainWorker, StopBeforeStartCancelsBacklogWithoutLosingFutures) {
   EXPECT_EQ(stats.retrain_counters().runs, 0u);
 
   // After stop, enqueues report kStopped and queue nothing.
-  EXPECT_EQ(worker.enqueue(3, 0.3), RetrainEnqueue::kStopped);
+  EXPECT_EQ(worker.enqueue(3), RetrainEnqueue::kStopped);
   EXPECT_EQ(worker.depth(), 0u);
   worker.start();      // no-op after stop
   worker.wait_idle();  // returns immediately on a stopped lane
@@ -144,17 +146,17 @@ TEST(RetrainWorker, CancelStopFinishesInFlightTaskButDropsQueued) {
   RetrainWorker worker(harness.fn(), 1, &stats);
   worker.start();
 
-  ASSERT_EQ(worker.enqueue(1, 0.1), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(1), RetrainEnqueue::kEnqueued);
   // Wait until the pool thread is running task 1 (blocked on the gate), then
   // queue a second key behind it.
   while (harness.running() != 1) std::this_thread::yield();
-  ASSERT_EQ(worker.enqueue(2, 0.2), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(2), RetrainEnqueue::kEnqueued);
 
   std::thread stopper([&] { worker.stop(); });
   // Only open the gate once the stop request is registered — otherwise the
   // pool could finish task 1 and legitimately pick task 2 up before the
   // cancel lands. Key 2 stays pending (and coalesces) until then.
-  while (worker.enqueue(2, 0.2) != RetrainEnqueue::kStopped) std::this_thread::yield();
+  while (worker.enqueue(2) != RetrainEnqueue::kStopped) std::this_thread::yield();
   harness.release();
   stopper.join();
 
@@ -173,11 +175,11 @@ TEST(RetrainWorker, SameBucketRequestsCoalesceIntoOneRun) {
   RetrainWorker worker(harness.fn(), 1, &stats);
   worker.start();
 
-  ASSERT_EQ(worker.enqueue(7, 0.7), RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(worker.enqueue(7, 0.7), RetrainEnqueue::kCoalesced);
-  EXPECT_EQ(worker.enqueue(7, 0.7), RetrainEnqueue::kCoalesced);
-  ASSERT_EQ(worker.enqueue(8, 0.8), RetrainEnqueue::kEnqueued);
-  EXPECT_EQ(worker.enqueue(8, 0.8), RetrainEnqueue::kCoalesced);
+  ASSERT_EQ(worker.enqueue(7), RetrainEnqueue::kEnqueued);
+  EXPECT_EQ(worker.enqueue(7), RetrainEnqueue::kCoalesced);
+  EXPECT_EQ(worker.enqueue(7), RetrainEnqueue::kCoalesced);
+  ASSERT_EQ(worker.enqueue(8), RetrainEnqueue::kEnqueued);
+  EXPECT_EQ(worker.enqueue(8), RetrainEnqueue::kCoalesced);
 
   harness.release();
   worker.wait_idle();
@@ -194,12 +196,11 @@ TEST(RetrainWorker, SameBucketRequestsCoalesceIntoOneRun) {
 TEST(RetrainWorker, RunThatFindsTheWorkDoneCountsAsCoalescedNotRun) {
   // A task can start after a run for its bucket already finished (enqueued
   // just after that run cleared its pending key); the run function then
-  // reports that no optimization ran — the memo cache held the bucket.
+  // reports that no optimization ran — the tuned table held the bucket.
   ServiceStats stats;
-  RetrainWorker worker([](std::uint64_t key, double /*read_ratio*/) { return key != 2; }, 1,
-                       &stats);
-  ASSERT_EQ(worker.enqueue(1, 0.1), RetrainEnqueue::kEnqueued);
-  ASSERT_EQ(worker.enqueue(2, 0.2), RetrainEnqueue::kEnqueued);
+  RetrainWorker worker([](std::uint64_t key) { return key != 2; }, 1, &stats);
+  ASSERT_EQ(worker.enqueue(1), RetrainEnqueue::kEnqueued);
+  ASSERT_EQ(worker.enqueue(2), RetrainEnqueue::kEnqueued);
   worker.start();
   worker.wait_idle();
 
@@ -217,14 +218,14 @@ TEST(RetrainWorker, FullQueueRejectsButCoalescingStillWins) {
   constexpr std::size_t kBound = RetrainWorker::kQueuePerThread;  // one thread
 
   for (std::uint64_t key = 1; key <= kBound; ++key) {
-    ASSERT_EQ(worker.enqueue(key, 0.5), RetrainEnqueue::kEnqueued);
+    ASSERT_EQ(worker.enqueue(key), RetrainEnqueue::kEnqueued);
   }
   EXPECT_EQ(worker.depth(), kBound);
   // Queue full: a *new* key is rejected and nothing is queued…
-  EXPECT_EQ(worker.enqueue(kBound + 1, 0.5), RetrainEnqueue::kRejected);
+  EXPECT_EQ(worker.enqueue(kBound + 1), RetrainEnqueue::kRejected);
   EXPECT_EQ(worker.depth(), kBound);
   // …but a duplicate of a pending key still coalesces — it needs no slot.
-  EXPECT_EQ(worker.enqueue(1, 0.5), RetrainEnqueue::kCoalesced);
+  EXPECT_EQ(worker.enqueue(1), RetrainEnqueue::kCoalesced);
   const auto counters = stats.retrain_counters();
   EXPECT_EQ(counters.rejected, 1u);
   EXPECT_EQ(counters.coalesced, 1u);
@@ -241,14 +242,14 @@ TEST(RetrainWorker, PoolRunsDistinctKeysAtOnceButOneKeyNeverTwice) {
 
   // Four distinct keys occupy all four pool threads at once.
   for (std::uint64_t key = 1; key <= 4; ++key) {
-    ASSERT_EQ(worker.enqueue(key, 0.1), RetrainEnqueue::kEnqueued);
+    ASSERT_EQ(worker.enqueue(key), RetrainEnqueue::kEnqueued);
   }
   while (harness.running() != 4) std::this_thread::yield();
   EXPECT_EQ(worker.depth(), 0u);
   // A running key is still pending: re-enqueueing it coalesces instead of
   // queueing a second run of it behind the first.
   for (std::uint64_t key = 1; key <= 4; ++key) {
-    EXPECT_EQ(worker.enqueue(key, 0.1), RetrainEnqueue::kCoalesced);
+    EXPECT_EQ(worker.enqueue(key), RetrainEnqueue::kCoalesced);
   }
   EXPECT_EQ(worker.depth(), 0u);
   harness.release();
@@ -260,7 +261,7 @@ TEST(RetrainWorker, PoolRunsDistinctKeysAtOnceButOneKeyNeverTwice) {
   for (int p = 0; p < 4; ++p) {
     producers.emplace_back([&worker] {
       for (int i = 0; i < 300; ++i) {
-        worker.enqueue(static_cast<std::uint64_t>(i % 6), 0.5);
+        worker.enqueue(static_cast<std::uint64_t>(i % 6));
       }
     });
   }
@@ -500,6 +501,34 @@ TEST_F(ServeRetrain, OneBucketRoutedToTwoShardsIsOneRetrainTask) {
   service.stop();
 }
 
+TEST_F(ServeRetrain, TunedConfigIsTheOptimumAtTheBucketCentre) {
+  // A bucket's GA runs at its centre, so what it tunes depends only on the
+  // model and the bucket, not on which read ratio missed first: 0.76 and
+  // 0.84 both get the bucket-8 optimum, standalone or through the lane.
+  const auto expected = rafiki_->optimize(0.1 * 8);
+  core::OnlineTuner standalone(*rafiki_);
+  const auto inline_decision = standalone.on_window(0.76);
+  EXPECT_EQ(inline_decision.config, expected.config);
+  EXPECT_EQ(inline_decision.predicted_throughput, expected.predicted_throughput);
+
+  ServiceOptions options;
+  options.workers = 1;
+  core::OnlineTuner served(*rafiki_);
+  TuningService service(options);
+  service.publish(make_snapshot(*rafiki_));
+  service.attach_tuner(served);
+  service.start();
+  ASSERT_TRUE(service.call(window_request(0.84)).stale);
+  service.wait_retrain_idle();
+  const auto tuned = service.snapshot()->tuned.at(8);
+  EXPECT_EQ(tuned.config, expected.config);
+  EXPECT_EQ(tuned.predicted_throughput, expected.predicted_throughput);
+  const auto window = service.call(window_request(0.84));
+  EXPECT_FALSE(window.stale);
+  EXPECT_EQ(window.config, expected.config);
+  service.stop();
+}
+
 TEST_F(ServeRetrain, ConcurrentOnWindowAndPrefetchAreRaceFree) {
   // Satellite regression (tsan probe): standalone tuner — no service, no
   // async hook, so misses optimize inline — hammered by concurrent
@@ -523,6 +552,62 @@ TEST_F(ServeRetrain, ConcurrentOnWindowAndPrefetchAreRaceFree) {
   // the retrain lane's guarantee (OneBucketRoutedToTwoShardsIsOneRetrainTask).
   for (double rr : ratios) EXPECT_TRUE(tuner.cached(rr));
   EXPECT_GE(tuner.optimizer_runs(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// core::TunedTable, the one memo every tuner of a model reads.
+
+class TunedTable : public ServeRetrain {};
+
+TEST_F(TunedTable, TunesEachBucketOnceAtItsCentre) {
+  core::TunedTable table(*rafiki_);
+  EXPECT_EQ(table.bucket_for(0.76), 8);
+  EXPECT_EQ(table.centre(8), 0.1 * 8);
+  EXPECT_FALSE(table.contains(8));
+
+  EXPECT_TRUE(table.tune(8));
+  const auto held = table.find(8);
+  ASSERT_TRUE(held.has_value());
+  const auto expected = rafiki_->optimize(0.1 * 8);
+  EXPECT_EQ(held->config, expected.config);
+  EXPECT_EQ(held->predicted_throughput, expected.predicted_throughput);
+
+  // A held bucket runs nothing.
+  EXPECT_FALSE(table.tune(8));
+  EXPECT_TRUE(table.contains(8));
+  EXPECT_FALSE(table.find(7).has_value());
+}
+
+TEST_F(TunedTable, TunersSharingOneTableAreRaceFreeAndAgree) {
+  // The tsan probe for the shared table: standalone tuners of one model
+  // (misses tune inline) hammered by concurrent on_window and prefetch
+  // callers. Every tuner ends up serving the same config per bucket.
+  const auto table = std::make_shared<core::TunedTable>(*rafiki_);
+  std::vector<std::unique_ptr<core::OnlineTuner>> tuners;
+  for (int t = 0; t < 4; ++t) tuners.push_back(std::make_unique<core::OnlineTuner>(table));
+  const std::vector<double> ratios = {0.15, 0.45, 0.85};
+  std::vector<std::thread> threads;
+  for (auto& tuner : tuners) {
+    threads.emplace_back([&ratios, t = tuner.get()] {
+      for (int i = 0; i < 9; ++i) t->on_window(ratios[static_cast<std::size_t>(i) % 3]);
+    });
+    threads.emplace_back([&ratios, t = tuner.get()] {
+      for (int i = 0; i < 9; ++i) t->prefetch(ratios[static_cast<std::size_t>(i) % 3]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (const double rr : ratios) {
+    const auto held = table->find(table->bucket_for(rr));
+    ASSERT_TRUE(held.has_value()) << rr;
+    for (auto& tuner : tuners) EXPECT_TRUE(tuner->cached(rr)) << rr;
+    // A tuner that joins later adopts the held entry on its first window.
+    core::OnlineTuner late(table);
+    const auto decision = late.on_window(rr);
+    EXPECT_FALSE(decision.stale) << rr;
+    EXPECT_EQ(decision.config, held->config) << rr;
+  }
+  for (auto& tuner : tuners) EXPECT_EQ(tuner->optimizer_runs(), 3u);
 }
 
 }  // namespace

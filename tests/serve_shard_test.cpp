@@ -1,7 +1,8 @@
 // Sharded TuningService: stable band->shard routing across restarts,
 // per-shard admission isolation, spill-to-sibling on overload, hot-band
 // rebalance, one shared model behind every tenant slot, sharded-vs-unsharded
-// bit parity, and the striped ServiceStats merge-on-read contract under
+// bit parity, worker budgets sized from the affinity mask, and the striped
+// ServiceStats merge-on-read contract under
 // concurrent writers (the latter is the suite's tsan probe).
 #include <algorithm>
 #include <atomic>
@@ -17,6 +18,11 @@
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/stats.h"
+#include "util/cpu.h"
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace rafiki::serve {
 namespace {
@@ -282,7 +288,7 @@ TEST(ShardWorkerBudget, DerivedBudgetNeverOversubscribesTheMachine) {
   // The de-scaling regression: 8 shards x workers used to spawn the full
   // product regardless of the host. The derived budget caps at the hardware
   // threads (floored at one worker per shard), for every shard count.
-  const std::size_t hw = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  const std::size_t hw = util::hw_threads();
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     ShardOptions options;
     options.shards = shards;
@@ -297,6 +303,37 @@ TEST(ShardWorkerBudget, DerivedBudgetNeverOversubscribesTheMachine) {
     EXPECT_EQ(again.resolved_worker_budget(), total) << shards << " shards";
   }
 }
+
+#if defined(__linux__)
+TEST(ShardWorkerBudget, BudgetCountsTheAffinityMaskNotTheMachine) {
+  // hardware_concurrency() counts every CPU on the host; a run pinned to
+  // one CPU must size its pools for one.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const int cpu = util::allowed_cpus().front();
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned_threads = util::hw_threads();
+  const std::vector<int> pinned_cpus = util::allowed_cpus();
+  ShardOptions options;
+  options.shards = 1;
+  options.service.workers = 4;
+  const std::size_t one_shard_budget = TuningService(options).resolved_worker_budget();
+  options.shards = 2;
+  const std::size_t two_shard_budget = TuningService(options).resolved_worker_budget();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+
+  EXPECT_EQ(pinned_threads, 1u);
+  EXPECT_EQ(pinned_cpus, std::vector<int>{cpu});
+  // min(hw_threads, shards x workers), floored at one worker per shard.
+  EXPECT_EQ(one_shard_budget, 1u);
+  EXPECT_EQ(two_shard_budget, 2u);
+  EXPECT_EQ(util::hw_threads(), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ShardWorkerBudget, ZeroWorkersStaysZeroEverywhere) {
   // Test mode (workers == 0: requests queue until drained by stop) must

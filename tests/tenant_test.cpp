@@ -1,18 +1,23 @@
 // Tenant fleet: token-bucket and in-flight quota semantics under an injected
-// clock, fleet admission verdicts and fairness counters, per-tenant
-// publish/retrain isolation (bit-exact snapshot pointers), fleet-of-one
-// parity with the single-tenant service, and the rebalance-vs-publish race
+// clock, fleet admission verdicts and fairness counters, per-tenant publish
+// isolation (bit-exact snapshot pointers), one GA per (model, bucket) shared
+// by every tenant of the model (and never across models), the per-tenant
+// optimizer_runs() count, tuned tables bit-identical across shard counts,
+// fleet-of-one parity with the single-tenant service, and the
+// rebalance-vs-publish race
 // (the suite's tsan probe: the policy thread migrates route slots while
 // publishes fan out and requests route).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/online.h"
 #include "core/rafiki.h"
 #include "engine/params.h"
 #include "serve/service.h"
@@ -298,37 +303,147 @@ TEST_F(TenantFleetServing, TenantsShareTheModelButAnswerIndependently) {
             0u);
 }
 
-TEST_F(TenantFleetServing, PerTenantRetrainNeverCoalescesAcrossTenants) {
+TEST_F(TenantFleetServing, TenantsOfOneModelShareOneGaPerBucket) {
   FleetOptions options;
   options.tenants = 2;
   options.shard.shards = 2;
   TenantFleet fleet(options);
   fleet.attach_rafiki(*rafiki_);
   fleet.publish(serve::make_snapshot(*rafiki_));
-  fleet.start();
 
-  // The same unseen read ratio from both tenants: each tenant's ObserveWindow
-  // miss enqueues under its OWN retrain key (tenant, bucket), so the two
-  // optimizations both run — tenant B's miss is never absorbed by tenant A's
-  // pending task for the same bucket.
+  // Both tenants read the fleet's one tuned table, so their misses for one
+  // bucket share the retrain key (model, bucket): the second coalesces into
+  // the first, still queued because the lane has not started.
   const double rr = 0.55;
-  const auto r0 = fleet.call(request_for(0, serve::Endpoint::kObserveWindow, rr));
-  const auto r1 = fleet.call(request_for(1, serve::Endpoint::kObserveWindow, rr));
-  ASSERT_EQ(r0.status, serve::Status::kOk);
-  ASSERT_EQ(r1.status, serve::Status::kOk);
-  EXPECT_TRUE(r0.stale);
-  EXPECT_TRUE(r1.stale);
+  EXPECT_TRUE(fleet.tuner(0)->on_window(rr).stale);
+  EXPECT_TRUE(fleet.tuner(1)->on_window(rr).stale);
+  EXPECT_EQ(fleet.retrain_counters().coalesced, 1u);
+  fleet.start();
   fleet.wait_retrain_idle();
 
-  EXPECT_EQ(fleet.retrain_counters().runs, 2u);
-  EXPECT_EQ(fleet.retrain_counters().coalesced, 0u);
-  // Each tuner cached its own optimum and republished into its own slot.
+  EXPECT_EQ(fleet.retrain_counters().runs, 1u);
+  EXPECT_EQ(fleet.retrain_counters().coalesced, 1u);
+  // The one GA answered both tenants: the table holds the bucket and the
+  // entry was republished into each tenant's slot.
   EXPECT_TRUE(fleet.tuner(0)->cached(rr));
   EXPECT_TRUE(fleet.tuner(1)->cached(rr));
   const int bucket = fleet.tuner(0)->bucket_for(rr);
-  EXPECT_EQ(fleet.tenant_snapshot(0)->tuned.count(bucket), 1u);
-  EXPECT_EQ(fleet.tenant_snapshot(1)->tuned.count(bucket), 1u);
+  ASSERT_EQ(fleet.tenant_snapshot(0)->tuned.count(bucket), 1u);
+  ASSERT_EQ(fleet.tenant_snapshot(1)->tuned.count(bucket), 1u);
+  EXPECT_EQ(fleet.tenant_snapshot(0)->tuned.at(bucket).config,
+            fleet.tenant_snapshot(1)->tuned.at(bucket).config);
+  EXPECT_EQ(fleet.tenant_model_version(0), 2u);
+  EXPECT_EQ(fleet.tenant_model_version(1), 2u);
   fleet.stop();
+}
+
+TEST_F(TenantFleetServing, TunersWithSeparateTablesNeverCoalesce) {
+  serve::ServiceOptions options;
+  options.tenants = 2;
+  options.workers = 1;
+  serve::TuningService service(options);
+  service.publish(serve::make_snapshot(*rafiki_));
+  // Two standalone tuners over the same trained model, each with a table of
+  // its own: two models to the service, so two key-spaces.
+  core::OnlineTuner a(*rafiki_);
+  core::OnlineTuner b(*rafiki_);
+  service.attach_tenant_tuner(0, a);
+  service.attach_tenant_tuner(1, b);
+
+  const double rr = 0.55;
+  EXPECT_TRUE(a.on_window(rr).stale);
+  EXPECT_TRUE(b.on_window(rr).stale);
+  EXPECT_EQ(service.retrain_counters().coalesced, 0u);
+  service.start();
+  service.wait_retrain_idle();
+
+  EXPECT_EQ(service.retrain_counters().runs, 2u);
+  EXPECT_EQ(service.retrain_counters().coalesced, 0u);
+  EXPECT_TRUE(a.cached(rr));
+  EXPECT_TRUE(b.cached(rr));
+  const int bucket = a.bucket_for(rr);
+  EXPECT_EQ(service.tenant_snapshot(0)->tuned.count(bucket), 1u);
+  EXPECT_EQ(service.tenant_snapshot(1)->tuned.count(bucket), 1u);
+  EXPECT_EQ(a.optimizer_runs(), 1u);
+  EXPECT_EQ(b.optimizer_runs(), 1u);
+  service.stop();
+}
+
+TEST_F(TenantFleetServing, OptimizerRunsCountsTheBucketsEachTenantReceived) {
+  FleetOptions options;
+  options.tenants = 3;
+  options.shard.shards = 2;
+  TenantFleet fleet(options);
+  fleet.attach_rafiki(*rafiki_);
+  fleet.publish(serve::make_snapshot(*rafiki_));
+  fleet.start();
+
+  // Tenant 0 misses bucket 3 and the lane tunes it.
+  const auto first = fleet.call(request_for(0, serve::Endpoint::kObserveWindow, 0.3));
+  ASSERT_EQ(first.status, serve::Status::kOk);
+  EXPECT_TRUE(first.stale);
+  fleet.wait_retrain_idle();
+  EXPECT_EQ(fleet.retrain_counters().runs, 1u);
+
+  // Tenant 1's first window in that bucket is served the table's entry at
+  // once: no stale answer and no second GA.
+  const auto second = fleet.call(request_for(1, serve::Endpoint::kObserveWindow, 0.31));
+  ASSERT_EQ(second.status, serve::Status::kOk);
+  EXPECT_FALSE(second.stale);
+  EXPECT_TRUE(second.reconfigured);
+  EXPECT_EQ(second.config, fleet.tenant_snapshot(1)->tuned.at(3).config);
+  fleet.wait_retrain_idle();
+  EXPECT_EQ(fleet.retrain_counters().runs, 1u);
+
+  EXPECT_EQ(fleet.tuner(0)->optimizer_runs(), 1u);
+  EXPECT_EQ(fleet.tuner(1)->optimizer_runs(), 1u);
+  // Tenant 2 sent no window: it received nothing, whatever the table holds.
+  EXPECT_EQ(fleet.tuner(2)->optimizer_runs(), 0u);
+  EXPECT_TRUE(fleet.tuner(2)->cached(0.3));
+  fleet.stop();
+}
+
+TEST_F(TenantFleetServing, TunedTableIsBitIdenticalAcrossShardCounts) {
+  // The sharded == unsharded contract for tuning: the same windows from the
+  // same tenants leave the same tuned entries, bit for bit, in every
+  // tenant's slot, whichever shard answered them.
+  const std::vector<double> ratios = {0.05, 0.28, 0.55, 0.76, 0.84, 0.97};
+  const auto tune_fleet = [&](std::size_t shards) {
+    FleetOptions options;
+    options.tenants = 4;
+    options.shard.shards = shards;
+    auto fleet = std::make_unique<TenantFleet>(options);
+    fleet->attach_rafiki(*rafiki_);
+    fleet->publish(serve::make_snapshot(*rafiki_));
+    fleet->start();
+    for (std::size_t i = 0; i < ratios.size(); ++i) {
+      const auto tenant = static_cast<serve::TenantId>(i % 4);
+      EXPECT_EQ(fleet->call(request_for(tenant, serve::Endpoint::kObserveWindow, ratios[i])).status,
+                serve::Status::kOk);
+    }
+    fleet->wait_retrain_idle();
+    fleet->stop();
+    return fleet;
+  };
+  const auto one = tune_fleet(1);
+  const auto four = tune_fleet(4);
+  EXPECT_EQ(one->retrain_counters().runs, 5u);  // 0.76 and 0.84 share bucket 8
+  EXPECT_EQ(four->retrain_counters().runs, 5u);
+  for (serve::TenantId t = 0; t < 4; ++t) {
+    const auto& expected = one->tenant_snapshot(t)->tuned;
+    const auto& actual = four->tenant_snapshot(t)->tuned;
+    ASSERT_EQ(expected.size(), 5u) << "tenant " << t;
+    ASSERT_EQ(actual.size(), expected.size()) << "tenant " << t;
+    for (const auto& [bucket, entry] : expected) {
+      ASSERT_EQ(actual.count(bucket), 1u) << "tenant " << t << " bucket " << bucket;
+      EXPECT_EQ(actual.at(bucket).config, entry.config) << "bucket " << bucket;
+      EXPECT_EQ(actual.at(bucket).predicted_throughput, entry.predicted_throughput)
+          << "bucket " << bucket;
+      const auto held = four->tuner(t)->table()->find(bucket);
+      ASSERT_TRUE(held.has_value()) << "bucket " << bucket;
+      EXPECT_EQ(held->config, entry.config) << "bucket " << bucket;
+    }
+  }
 }
 
 // The tsan probe: the rebalance policy thread rewrites the route table while

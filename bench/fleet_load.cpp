@@ -8,11 +8,11 @@
 //      so regime storms hit all tenants at once; ObserveWindow misses are
 //      answered stale-marked while the service's retrain lane, keyed by
 //      (model, bucket), runs one GA per bucket for the fleet's one shared
-//      model and republishes it into every tenant's snapshot slot. Gates:
-//      zero failed calls, zero decode errors, frames_in == frames_out
+//      model and installs it in the tuned table every tenant's tuner reads.
+//      Gates: zero failed calls, zero decode errors, frames_in == frames_out
 //      (nothing lost on the wire), zero admission rejects (no quotas
-//      configured), and every tenant's model version advanced — the
-//      republish fan-out reaches every tenant.
+//      configured), and every tenant's tuner received at least one tuned
+//      bucket — the one table reaches every tenant.
 //      An unknown-tenant probe rides along: a client outside the fleet's id
 //      range must get a clean typed kNotReady for every call, never a
 //      dropped frame.
@@ -84,7 +84,7 @@ struct ReplayResult {
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
   serve::ServiceStats::FleetCounters fleet{};
-  std::uint64_t tenants_republished = 0;
+  std::uint64_t tenants_tuned = 0;  // tenants whose tuner received a tuned bucket
   // Unknown-tenant probe: calls from outside the id range, all of which must
   // come back as typed kNotReady responses.
   std::uint64_t probe_calls = 0;
@@ -148,7 +148,7 @@ double exact_quantile(std::vector<double> samples, double q) {
 
 /// One regime-switching tenant trace: every `window_every` calls the trace
 /// opens a new read-ratio regime with one ObserveWindow (stale-marked on a
-/// cache miss; the retrain lane republishes behind it), then
+/// cache miss; the retrain lane tunes the table behind it), then
 /// fills the window with pipelined Predict bursts against that regime.
 void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
                   std::size_t pipeline, std::size_t window_every,
@@ -273,12 +273,12 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
     }
   }
 
-  // Let the in-flight background retrains republish before the per-tenant
-  // version audit.
+  // Let the in-flight background retrains land in the tuned table before
+  // the per-tenant audit.
   fleet.wait_retrain_idle();
   for (std::size_t t = 0; t < tenants; ++t) {
-    if (fleet.tenant_model_version(static_cast<serve::TenantId>(t)) > 1) {
-      ++result.tenants_republished;
+    if (fleet.tuner(static_cast<serve::TenantId>(t))->optimizer_runs() >= 1) {
+      ++result.tenants_tuned;
     }
   }
   server.stop();
@@ -601,7 +601,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
                "\"decode_errors\": %llu, \"frames_in\": %llu, "
                "\"frames_out\": %llu, \"admitted\": %llu, "
                "\"quota_rejected\": %llu, \"inflight_rejected\": %llu, "
-               "\"unknown_tenant\": %llu, \"tenants_republished\": %llu, "
+               "\"unknown_tenant\": %llu, \"tenants_tuned\": %llu, "
                "\"probe_calls\": %llu, \"probe_not_ready\": %llu},\n",
                replay.tenants, replay.shards, replay.traces, replay.qps,
                static_cast<unsigned long long>(replay.predict_ok),
@@ -615,7 +615,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
                static_cast<unsigned long long>(replay.fleet.quota_rejected),
                static_cast<unsigned long long>(replay.fleet.inflight_rejected),
                static_cast<unsigned long long>(replay.fleet.unknown_tenant),
-               static_cast<unsigned long long>(replay.tenants_republished),
+               static_cast<unsigned long long>(replay.tenants_tuned),
                static_cast<unsigned long long>(replay.probe_calls),
                static_cast<unsigned long long>(replay.probe_not_ready));
   const auto emit_run = [out](const char* key, const VictimRun& run,
@@ -742,8 +742,8 @@ int main(int argc, char** argv) {
   replay_table.add_row({"frames in / out", std::to_string(replay.frames_in) + " / " +
                                                std::to_string(replay.frames_out)});
   replay_table.add_row({"admitted", std::to_string(replay.fleet.admitted)});
-  replay_table.add_row({"tenants republished",
-                        std::to_string(replay.tenants_republished) + " / " +
+  replay_table.add_row({"tenants tuned",
+                        std::to_string(replay.tenants_tuned) + " / " +
                             std::to_string(replay.tenants)});
   replay_table.add_row({"unknown-tenant probe",
                         std::to_string(replay.probe_not_ready) + " / " +
@@ -751,8 +751,8 @@ int main(int argc, char** argv) {
   benchutil::emit(replay_table, "Phase A: multi-tenant fleet replay (loopback RPC)");
   benchutil::compare("failed calls across the fleet replay", "0",
                      std::to_string(replay.failed));
-  benchutil::compare("tenants with a republished model", std::to_string(replay.tenants),
-                     std::to_string(replay.tenants_republished));
+  benchutil::compare("tenants whose tuner received a tuned bucket",
+                     std::to_string(replay.tenants), std::to_string(replay.tenants_tuned));
 
   // Phase B: noisy-tenant isolation behind the per-tenant in-flight cap.
   const std::size_t victim_calls = smoke ? 300 : 1000;
@@ -882,7 +882,7 @@ int main(int argc, char** argv) {
   pass = pass && replay.fleet.quota_rejected == 0 &&
          replay.fleet.inflight_rejected == 0;
   pass = pass && replay.stale_windows >= 1;
-  pass = pass && replay.tenants_republished == replay.tenants;
+  pass = pass && replay.tenants_tuned == replay.tenants;
   pass = pass && replay.probe_calls > 0 &&
          replay.probe_not_ready == replay.probe_calls;
   pass = pass && replay.fleet.unknown_tenant >= replay.probe_calls;

@@ -1,5 +1,6 @@
 #include "core/online.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -11,7 +12,11 @@ TunedTable::TunedTable(const Rafiki& rafiki, double rr_bucket)
     : rafiki_(&rafiki), rr_bucket_(rr_bucket) {}
 
 int TunedTable::bucket_for(double read_ratio) const noexcept {
-  return static_cast<int>(std::round(read_ratio / rr_bucket_));
+  // A read ratio lives in [0, 1] (NaN reads as 0), but the wire admits any
+  // finite value: clamping before rounding bounds the buckets, and so the GA
+  // runs, to those of [0, 1], and keeps the float-to-int conversion defined.
+  const double clamped = read_ratio > 0.0 ? std::min(read_ratio, 1.0) : 0.0;
+  return static_cast<int>(std::round(clamped / rr_bucket_));
 }
 
 std::optional<TunedTable::Entry> TunedTable::find(int bucket) const {

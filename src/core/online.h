@@ -69,6 +69,7 @@ class TunedTable {
 
   const Rafiki& rafiki() const noexcept { return *rafiki_; }
   double rr_bucket() const noexcept { return rr_bucket_; }
+  /// The bucket of a read ratio, clamped into [0, 1] first.
   int bucket_for(double read_ratio) const noexcept;
   /// The read ratio a bucket's GA optimizes for: bucket x rr_bucket.
   double centre(int bucket) const noexcept { return static_cast<double>(bucket) * rr_bucket_; }
@@ -137,8 +138,8 @@ class OnlineTuner {
 
   /// When set, misses (on_window / prefetch) are delegated here instead of
   /// tuning inline — the serve layer points this at its retrain lane so no
-  /// GA ever runs on a request-path thread, and republishes what the lane
-  /// installs.
+  /// GA ever runs on a request-path thread; the lane installs the result in
+  /// this tuner's table.
   using AsyncOptimizeHook = std::function<void(int bucket)>;
   void set_async_optimize_hook(AsyncOptimizeHook hook);
 

@@ -41,9 +41,9 @@ class TuningBackend {
   virtual std::shared_ptr<const ModelSnapshot> snapshot() const = 0;
   virtual std::uint64_t model_version() const = 0;
 
-  /// Per-tenant views. Tenant 0 is the default namespace, so for a
-  /// single-tenant backend these are the plain snapshot()/model_version();
-  /// backends without tenant slots serve every tenant from the same slot.
+  /// Per-tenant views. Every tenant a backend serves reads the one published
+  /// snapshot, so these are snapshot()/model_version() for a served tenant
+  /// (TuningService answers null / 0 outside its tenant range).
   virtual std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const {
     (void)tenant;
     return snapshot();
@@ -54,8 +54,8 @@ class TuningBackend {
   }
 
   /// Enables the ObserveWindow endpoint by wiring the tuner (which must
-  /// outlive this backend) to the background retrain machinery and the
-  /// snapshot registry. Call before start().
+  /// outlive this backend) to the background retrain lane, which tunes into
+  /// the tuner's table. Call before start().
   virtual void attach_tuner(core::OnlineTuner& tuner) = 0;
 
   /// Callback-style submission, the one admission path. Event-loop callers
@@ -103,7 +103,7 @@ class TuningBackend {
   virtual double mean_retrain_latency_us() const = 0;
 
   /// Blocks until background retrain work is idle — the barrier tests and
-  /// benches use to observe the post-republish state.
+  /// benches use to observe the tuned tables after background work.
   virtual void wait_retrain_idle() = 0;
 
   /// Synchronous convenience wrapper: submit + wait.

@@ -2,8 +2,8 @@
 // a shared_ptr with a single atomic load — they never block behind a
 // publisher holding a mutex, and whatever snapshot they grabbed stays alive
 // (refcounted) for as long as they use it, however many swaps happen
-// meanwhile. This is what lets a background retrain republish a new model
-// version with zero downtime for in-flight requests.
+// meanwhile. This is what lets a model refresh publish a new version with
+// zero downtime for in-flight requests.
 #pragma once
 
 #include <atomic>

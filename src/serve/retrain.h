@@ -1,11 +1,11 @@
 // Background retrain lane: the serve layer's guarantee that no GA (or,
 // later, collect+train) ever runs on a request-path thread. ObserveWindow's
 // stale-while-revalidate misses, and OnlineTuner::prefetch, enqueue
-// (model, bucket) tasks here; a small pool of dedicated threads runs them,
-// installs each result in the model's tuned table and republishes it into
-// every tenant slot of that model through the versioned SnapshotRegistry —
-// so a regime change costs the request path one queue push, never an
-// optimizer spike, and a bucket costs one GA however many tenants ask. A
+// (model, bucket) tasks here; a small pool of dedicated threads runs them
+// and installs each result in the model's tuned table, where every tuner of
+// the model reads it — so a regime change costs the request path one queue
+// push, never an optimizer spike, and a bucket costs one GA however many
+// tenants ask. A task publishes no snapshot and mints no version. A
 // TuningService owns exactly one lane, with one pool thread per shard.
 //
 //   * Bounded task queue — kQueuePerThread tasks per pool thread; a full

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #if defined(__linux__)
@@ -163,7 +162,6 @@ void TuningService::route_key(TenantId tenant, std::size_t band,
 TuningService::Shard::Shard(const ServiceOptions& options, std::size_t workers,
                             std::vector<int> cpus)
     : queue_(options.queue_capacity),
-      stats_(options.stats),
       worker_count_(workers),
       cpus_(std::move(cpus)) {}
 
@@ -172,10 +170,6 @@ TuningService::TuningService(ServiceOptions options)
 
 TuningService::TuningService(ShardOptions options)
     : options_(sanitize(std::move(options))),
-      registries_(options_.service.tenants),
-      version_counters_(options_.service.tenants, 0),
-      models_(options_.service.tenants),
-      model_of_(options_.service.tenants),
       tuners_(options_.service.tenants),
       shards_(make_shards(options_)),
       retrain_(
@@ -183,9 +177,6 @@ TuningService::TuningService(ShardOptions options)
             return run_retrain(retrain_key_model(key), retrain_key_bucket(key));
           },
           shards_.size(), &shards_.front()->stats_) {
-  // Every tenant starts as a model of its own; attach_tenant_tuner moves it
-  // into its tuner's table's model.
-  std::iota(model_of_.begin(), model_of_.end(), 0u);
   const std::size_t n = shards_.size();
   for (std::size_t slot = 0; slot < kRouteSlots; ++slot) {
     // Initial slot->shard spread reuses the same pure mix (of the slot
@@ -207,9 +198,6 @@ void TuningService::start() {
       shard->threads_.emplace_back([this, s = shard.get(), i] { worker_loop(*s, i); });
     }
   }
-  if (options_.rebalance_interval.count() > 0) {
-    rebalance_thread_ = std::thread([this] { rebalance_loop(); });
-  }
 }
 
 void TuningService::stop() {
@@ -218,8 +206,6 @@ void TuningService::stop() {
     if (stopped_) return;
     stopped_ = true;
   }
-  stop_cv_.notify_all();
-  if (rebalance_thread_.joinable()) rebalance_thread_.join();
   for (auto& shard : shards_) shard->queue_.close();
   for (auto& shard : shards_) {
     for (auto& thread : shard->threads_) {
@@ -229,7 +215,7 @@ void TuningService::stop() {
   }
   // Request workers are gone, so nothing can enqueue retrains anymore; the
   // queued backlog is cancelled, and an in-flight GA always completes and
-  // still republishes into its slot.
+  // still installs its result in the table.
   retrain_.stop();
   for (auto& shard : shards_) {
     // No worker ever consumed these (workers == 0, or stop before start):
@@ -239,24 +225,6 @@ void TuningService::stop() {
       response.status = Status::kShuttingDown;
       finish(*shard, *job, response);
     }
-  }
-}
-
-void TuningService::rebalance_loop() {
-  for (;;) {
-    {
-      MutexLock lock(lifecycle_mutex_);
-      // The pacing deadline is real time by design: it decides only *when*
-      // the policy thread looks at the telemetry, never what any request
-      // returns (a migration just changes which shard serves a key).
-      // det:ok(wall-clock): policy-thread pacing only, results unaffected
-      const auto deadline = std::chrono::steady_clock::now() + options_.rebalance_interval;
-      while (!stopped_) {
-        if (stop_cv_.wait_until(lifecycle_mutex_, deadline) == std::cv_status::timeout) break;
-      }
-      if (stopped_) return;
-    }
-    rebalance_hottest();
   }
 }
 
@@ -301,44 +269,27 @@ bool TuningService::rebalance_hottest() {
 
 std::uint64_t TuningService::publish(ModelSnapshot snapshot) {
   MutexLock lock(publish_mutex_);
-  // Every tenant slot gets the new model; each stamps its own version (so a
-  // tenant's version history stays monotonic and tenant-local). Copies share
-  // the fitted ensemble and the search space, so a slot costs one snapshot
-  // header plus its tuned table. Tenant 0's version is returned.
-  for (TenantId tenant = 1; tenant < registries_.size(); ++tenant) {
-    publish_locked(tenant, snapshot);  // copies; tenant 0 below takes the original
-  }
-  return publish_locked(0, std::move(snapshot));
+  // One slot for every tenant and shard: a publish copies nothing, whatever
+  // the tenant count.
+  snapshot.version = ++version_;
+  registry_.set(std::make_shared<const ModelSnapshot>(std::move(snapshot)));
+  return version_;
 }
 
-std::uint64_t TuningService::publish_locked(TenantId tenant, ModelSnapshot snapshot) {
-  // The model's tuned configs survive a full publish; an entry the published
-  // snapshot already carries for the same bucket wins.
-  for (const auto& [bucket, entry] : models_[model_of_[tenant]].tuned) {
-    snapshot.tuned.emplace(bucket, entry);
-  }
-  snapshot.version = ++version_counters_[tenant];
-  const std::uint64_t version = snapshot.version;
-  registries_[tenant].set(std::make_shared<const ModelSnapshot>(std::move(snapshot)));
-  return version;
-}
-
-std::uint64_t TuningService::tenant_model_version(TenantId tenant) const {
-  const auto snapshot = tenant_snapshot(tenant);
-  return snapshot ? snapshot->version : 0;
+std::uint64_t TuningService::model_version() const {
+  const auto published = snapshot();
+  return published ? published->version : 0;
 }
 
 void TuningService::attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner) {
-  if (tenant >= tuners_.size()) return;
+  if (!serves(tenant)) return;
   const std::shared_ptr<core::TunedTable>& table = tuner.table();
   std::uint32_t model = 0;
   {
     MutexLock lock(publish_mutex_);
-    const auto it = std::find_if(models_.begin(), models_.end(),
-                                 [&table](const Model& m) { return m.table == table; });
+    const auto it = std::find(models_.begin(), models_.end(), table);
     model = static_cast<std::uint32_t>(it - models_.begin());
-    if (it == models_.end()) models_.push_back(Model{table, {}});
-    model_of_[tenant] = model;
+    if (it == models_.end()) models_.push_back(table);
   }
   // Route the tuner's misses (ObserveWindow staleness, prefetch) to the one
   // retrain lane, whose pending-key set sees every request for a (model,
@@ -354,41 +305,12 @@ bool TuningService::run_retrain(std::uint32_t model, int bucket) {
   std::shared_ptr<core::TunedTable> table;
   {
     MutexLock lock(publish_mutex_);
-    table = models_[model].table;
+    table = models_[model];
   }
-  // The table takes the result first, so every tuner of the model adopts it
-  // on its next window; then each of the model's slots republishes it. No
-  // thread waits on this GA: a tenant that missed meanwhile coalesced here,
-  // and finds the entry in the table.
-  if (table == nullptr || !table->tune(bucket)) return false;
-  if (const auto tuned = table->find(bucket)) {
-    MutexLock lock(publish_mutex_);
-    publish_model_tuned_locked(model, bucket,
-                               TunedEntry{tuned->config, tuned->predicted_throughput});
-  }
-  return true;
-}
-
-void TuningService::publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
-                                  double predicted) {
-  if (tenant >= registries_.size()) return;
-  MutexLock lock(publish_mutex_);
-  publish_model_tuned_locked(model_of_[tenant], bucket, TunedEntry{config, predicted});
-}
-
-void TuningService::publish_model_tuned_locked(std::uint32_t model, int bucket,
-                                               const TunedEntry& entry) {
-  // Copy-on-write republication: the tuned-config table rides inside the
-  // immutable snapshot, so readers see it with the same lock-free load.
-  models_[model].tuned[bucket] = entry;
-  for (TenantId tenant = 0; tenant < registries_.size(); ++tenant) {
-    if (model_of_[tenant] != model) continue;
-    const auto current = registries_[tenant].get();
-    if (!current) continue;  // no real model yet: the first publish() stamps it in
-    ModelSnapshot next = *current;
-    next.tuned[bucket] = entry;
-    publish_locked(tenant, std::move(next));
-  }
+  // The task ends at the table: every tuner of the model adopts the result
+  // on its next window. No thread waits on this GA — a tenant that missed
+  // meanwhile coalesced here — and it publishes nothing.
+  return table->tune(bucket);
 }
 
 // --- admission --------------------------------------------------------------------
@@ -487,51 +409,44 @@ void TuningService::finish(Shard& shard, Job& job, Response response) {
 
 void TuningService::run_predict_batch(Shard& shard, std::vector<Job> batch) {
   const Tick now = now_tick();
-
-  // Deadline triage, then partition by tenant: a micro-batch may interleave
-  // tenants, and each group must evaluate against its own tenant's snapshot.
-  // std::map keeps the per-tenant order deterministic (ascending TenantId);
-  // within a group, arrival order is preserved.
-  std::map<TenantId, std::vector<Job>> groups;
+  // Every tenant reads the one snapshot, so the whole batch is one ensemble
+  // call. Expired jobs, and every job while no trained model is published or
+  // whose tenant is outside the service, are answered one by one; the rest
+  // keep arrival order.
+  const auto published = snapshot();
+  const bool ready = published && published->ensemble.trained();
+  std::vector<Job> live;
+  live.reserve(batch.size());
   for (auto& job : batch) {
+    Response response;
     if (expired(job.request, now)) {
-      Response response;
       response.status = Status::kDeadlineExceeded;
-      finish(shard, job, response);
+    } else if (!ready || !serves(job.request.tenant)) {
+      response.status = Status::kNotReady;
     } else {
-      groups[job.request.tenant].push_back(std::move(job));
-    }
-  }
-
-  for (auto& [tenant, live] : groups) {
-    const auto snapshot = tenant_snapshot(tenant);
-    if (!snapshot || !snapshot->ensemble.trained()) {
-      // Unknown tenant, or the tenant's slot has no trained model yet.
-      for (auto& job : live) {
-        Response response;
-        response.status = Status::kNotReady;
-        finish(shard, job, response);
-      }
+      live.push_back(std::move(job));
       continue;
     }
+    finish(shard, job, response);
+  }
+  if (live.empty()) return;
 
-    std::vector<std::vector<double>> rows;
-    rows.reserve(live.size());
-    for (const auto& job : live) {
-      rows.push_back(snapshot->feature_row(job.request.read_ratio, job.request.config));
-    }
-    const auto predictions = snapshot->ensemble.predict_batch_with_uncertainty(rows);
-    shard.stats_.record_batch(live.size());
+  std::vector<std::vector<double>> rows;
+  rows.reserve(live.size());
+  for (const auto& job : live) {
+    rows.push_back(published->feature_row(job.request.read_ratio, job.request.config));
+  }
+  const auto predictions = published->ensemble.predict_batch_with_uncertainty(rows);
+  shard.stats_.record_batch(live.size());
 
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Response response;
-      response.status = Status::kOk;
-      response.model_version = snapshot->version;
-      response.mean = predictions[i].mean;
-      response.stddev = predictions[i].stddev;
-      response.batch_size = live.size();
-      finish(shard, live[i], response);
-    }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    Response response;
+    response.status = Status::kOk;
+    response.model_version = published->version;
+    response.mean = predictions[i].mean;
+    response.stddev = predictions[i].stddev;
+    response.batch_size = live.size();
+    finish(shard, live[i], response);
   }
 }
 
@@ -588,8 +503,8 @@ void TuningService::run_single(Shard& shard, Job job) {
       // The tuner is internally synchronized. With the async-optimize hook
       // attached (attach_tenant_tuner), a table miss returns immediately
       // with a stale-marked decision and the bucket lands on the retrain
-      // lane, which republishes the tuned config as a new snapshot version
-      // of every tenant of the model once the background GA completes.
+      // lane, which installs the tuned config in the model's table once the
+      // background GA completes.
       const auto decision = tuner->on_window(job.request.read_ratio);
       response.status = Status::kOk;
       response.model_version = tenant_model_version(job.request.tenant);

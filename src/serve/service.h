@@ -10,12 +10,12 @@
 //                            │      │  migration)
 //                            └──▶ kOverloaded: spill to shard k+1 ...
 //
-//      per tenant, once per service: snapshot slot, version counter,
-//      tuner pointer — every shard reads the same slot
-//      per model (one tuned table, the tenants whose tuners read it):
-//      the tuned entries stamped into each of those tenants' snapshots
-//      once per service: the retrain lane (one pool thread per shard, one
-//      pending-key set)
+//      once per service: one snapshot slot and version counter, read by
+//      every tenant on every shard; the retrain lane (one pool thread per
+//      shard, one pending-key set)
+//      per tenant: a tuner pointer (the ObserveWindow binding)
+//      per model (one core::TunedTable, read by every tuner over it): the
+//      tuned configs, their only copy
 //
 //   * Admission control — a full queue rejects with Overloaded immediately;
 //     producers never block past capacity. Each request carries a deadline
@@ -24,23 +24,25 @@
 //     queued behind the one it popped (up to ServiceOptions::max_batch) into
 //     a single batched ensemble evaluation (SurrogateEnsemble::predict_batch),
 //     and flushes as soon as the queue is momentarily empty: it never waits
-//     for more requests to arrive.
-//   * One shared model — publish() stamps a new version into every tenant's
-//     slot behind an atomic shared_ptr; in-flight requests keep the version
-//     they started with. Snapshot copies share the fitted ensemble, so a
-//     publish costs one small header per tenant, whatever the shard count.
+//     for more requests to arrive. Every tenant reads the one snapshot, so a
+//     batch that mixes tenants is still one ensemble call.
+//   * One shared model — publish() stamps the next version into the one
+//     snapshot slot behind an atomic shared_ptr; every tenant and shard reads
+//     it, and in-flight requests keep the version they started with.
+//     Versions count publish() calls only.
 //   * Async retraining — ObserveWindow is stale-while-revalidate: a tuned-
 //     table miss answers immediately with the current config
 //     (Response::stale set) and enqueues the (model, bucket) key on the
 //     service's one retrain lane; the GA never runs on a request-path worker
-//     (serve/retrain.h), and one GA per model answers every tenant of it.
+//     (serve/retrain.h). Its result lands in the model's tuned table, where
+//     every tenant's tuner over that table finds it on its next window.
 //   * Sharding — requests are routed by a stable fingerprint of their
 //     (tenant, read-ratio band) key (band = percent bucket of the read ratio,
 //     the tuner's cache quantization) hashed into a fixed table of route
 //     slots, after Tuneful's per-workload-signature tuning. The hot path
 //     shares nothing across shards: no common queue mutex, no common stats
 //     stripe. An Overloaded home shard spills to up to `spill_limit`
-//     siblings (every shard reads the same tenant slot, so any shard answers
+//     siblings (every shard reads the same snapshot, so any shard answers
 //     identically); rebalance_hottest() migrates the hottest route slot off
 //     the most-loaded shard with one atomic store. With one shard there is
 //     nothing to route: try_submit goes straight to shard 0.
@@ -57,7 +59,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -80,13 +81,12 @@ namespace rafiki::serve {
 
 struct ServiceOptions {
   /// Tenant namespaces served by this instance (dense ids [0, tenants)).
-  /// Every tenant gets its own snapshot slot, version counter and tuner
-  /// pointer. Tuned entries and retrain keys belong to the tenant's model:
+  /// Every tenant reads the one published snapshot and gets its own tuner
+  /// pointer. Tuned configs and retrain keys belong to the tenant's model:
   /// the tuned table its tuner reads, shared by every tenant whose tuner
-  /// reads the same table (a tenant with no tuner is a model of its own).
-  /// 1 (the default) is exactly the original single-tenant service: tenant
-  /// 0 is the default namespace pre-tenant callers land in. 0 is normalized
-  /// to 1.
+  /// reads the same table. 1 (the default) is exactly the original
+  /// single-tenant service: tenant 0 is the default namespace pre-tenant
+  /// callers land in. 0 is normalized to 1.
   std::size_t tenants = 1;
   /// Worker threads spawned by start() for a one-shard service. 0 is valid
   /// (and useful in tests): requests queue deterministically until stop().
@@ -106,7 +106,6 @@ struct ServiceOptions {
   std::function<Tick()> clock_fn;
   /// GA budget for the Optimize endpoint.
   opt::GaOptions ga{};
-  StatsOptions stats{};
 };
 
 struct ShardOptions {
@@ -134,11 +133,6 @@ struct ShardOptions {
   /// (in route order) before reporting Overloaded to the caller. 0 disables
   /// spilling.
   std::size_t spill_limit = 1;
-  /// Automatic rebalance: start() spawns a background policy thread that
-  /// wakes at this interval and runs rebalance_hottest() off the same hit
-  /// telemetry. Zero (the default) disables the thread; explicit
-  /// rebalance_hottest() calls work either way.
-  std::chrono::milliseconds rebalance_interval{0};
 };
 
 class TuningService : public TuningBackend {
@@ -200,7 +194,10 @@ class TuningService : public TuningBackend {
     Status offer(const Request& request, ResponseCallback& done);
 
     BoundedQueue<Job> queue_;
-    ServiceStats stats_;
+    /// On a cache line of its own: every record_* call reads the stripe
+    /// table at the front of the stats, and the queue's tail (its size hint
+    /// and waiter count) is written by every push and pop.
+    alignas(64) ServiceStats stats_;
     const std::size_t worker_count_;
     /// CPUs worker i pins to (cpus_[i % size]); empty = no pinning.
     const std::vector<int> cpus_;
@@ -221,22 +218,22 @@ class TuningService : public TuningBackend {
   TuningService(const TuningService&) = delete;
   TuningService& operator=(const TuningService&) = delete;
 
-  /// See TuningBackend::publish. Stamps the snapshot into every tenant slot
-  /// (each slot its own version, with the tenant's model's tuned entries
-  /// folded in); returns tenant 0's new version.
+  /// See TuningBackend::publish. Stamps the next version into the one
+  /// snapshot slot every tenant reads, and returns it.
   std::uint64_t publish(ModelSnapshot snapshot) override;
 
-  /// Tenant 0's currently published snapshot (null before the first publish).
-  std::shared_ptr<const ModelSnapshot> snapshot() const override {
-    return registries_[0].get();
-  }
-  std::uint64_t model_version() const override { return tenant_model_version(0); }
+  /// The published snapshot (null before the first publish).
+  std::shared_ptr<const ModelSnapshot> snapshot() const override { return registry_.get(); }
+  std::uint64_t model_version() const override;
 
-  /// Per-tenant views (null / 0 for an out-of-range tenant).
+  /// Per-tenant views: the one snapshot and version for a served tenant,
+  /// null / 0 for a tenant outside [0, tenants).
   std::shared_ptr<const ModelSnapshot> tenant_snapshot(TenantId tenant) const override {
-    return tenant < registries_.size() ? registries_[tenant].get() : nullptr;
+    return serves(tenant) ? snapshot() : nullptr;
   }
-  std::uint64_t tenant_model_version(TenantId tenant) const override;
+  std::uint64_t tenant_model_version(TenantId tenant) const override {
+    return serves(tenant) ? model_version() : 0;
+  }
 
   /// Enables the ObserveWindow endpoint for tenant 0; see attach_tenant_tuner.
   void attach_tuner(core::OnlineTuner& tuner) override { attach_tenant_tuner(0, tuner); }
@@ -245,31 +242,22 @@ class TuningService : public TuningBackend {
   /// whose tuner reads that table. The tuner becomes
   /// stale-while-revalidate: its misses and prefetches enqueue on the
   /// retrain lane under retrain_key(model, bucket), and the lane installs
-  /// each result in the table, then republishes it into every slot of the
-  /// model. Call before start().
+  /// each result in the table, where every tuner of the model reads it. Call
+  /// before start().
   void attach_tenant_tuner(TenantId tenant, core::OnlineTuner& tuner);
-
-  /// Records one tuned (bucket -> config) entry for `tenant`'s model and
-  /// republishes the current snapshot of each of the model's tenants with it
-  /// (copy-on-write). A tenant with no tuner is a model of its own, so every
-  /// other tenant's served snapshot (pointer, version, configs) is
-  /// untouched. A tenant that has not been published yet mints no version;
-  /// the entry waits for its first publish().
-  void publish_tuned(TenantId tenant, int bucket, const engine::Config& config,
-                     double predicted);
 
   /// See TuningBackend::try_submit. Routes by (tenant, band), spilling to
   /// siblings on Overloaded.
   Status try_submit(Request request, ResponseCallback done) override;
 
-  /// Spawns every shard's worker pool and the retrain lane, plus the
-  /// rebalance policy thread when configured (idempotent). Requests
-  /// submitted before start() wait in their shard's queue.
+  /// Spawns every shard's worker pool and the retrain lane (idempotent).
+  /// Requests submitted before start() wait in their shard's queue.
   void start() override;
   /// Closes admission, drains the backlog, joins workers, then stops the
   /// retrain lane (cancelling its queued backlog; a running GA completes and
-  /// still republishes). Queued requests are still answered (drained by the
-  /// workers, or failed with ShuttingDown if no worker ever ran). Idempotent.
+  /// still installs its result). Queued requests are still answered (drained
+  /// by the workers, or failed with ShuttingDown if no worker ever ran).
+  /// Idempotent.
   void stop() override;
 
   /// Shard 0's stats: the sink the retrain lane and the front-ends
@@ -297,7 +285,7 @@ class TuningService : public TuningBackend {
   /// Summed worker CPU time of every shard (exact after stop()).
   std::uint64_t worker_cpu_us() const noexcept;
   /// Blocks until the retrain lane is idle — the barrier tests and benches
-  /// use to observe the post-republish state.
+  /// use to observe the tuned tables after background work.
   void wait_retrain_idle() override { retrain_.wait_idle(); }
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
@@ -337,53 +325,30 @@ class TuningService : public TuningBackend {
   void run_single(Shard& shard, Job job);
   void run_predict_batch(Shard& shard, std::vector<Job> batch);
   static void finish(Shard& shard, Job& job, Response response);
-  void rebalance_loop();
   ServiceStats::EndpointAggregate merged_aggregate(Endpoint endpoint) const;
   Tick now_tick() const { return options_.service.clock_fn ? options_.service.clock_fn() : 0; }
   static bool expired(const Request& request, Tick now) {
     return request.deadline != kNoDeadline && now > request.deadline;
   }
+  bool serves(TenantId tenant) const noexcept { return tenant < tuners_.size(); }
   core::OnlineTuner* tuner_for(TenantId tenant) const noexcept {
-    return tenant < tuners_.size() ? tuners_[tenant].load(std::memory_order_acquire)
-                                   : nullptr;
+    return serves(tenant) ? tuners_[tenant].load(std::memory_order_acquire) : nullptr;
   }
-  /// The retrain lane's task: tunes one bucket of one model's table, then
-  /// republishes what it installed. Returns whether a GA ran.
+  /// The retrain lane's task: tunes one bucket of one model's table.
+  /// Returns whether a GA ran.
   bool run_retrain(std::uint32_t model, int bucket);
-  std::uint64_t publish_locked(TenantId tenant, ModelSnapshot snapshot)
-      REQUIRES(publish_mutex_);
-  void publish_model_tuned_locked(std::uint32_t model, int bucket, const TunedEntry& entry)
-      REQUIRES(publish_mutex_);
-
-  /// A tuned table, read by the tuners of every tenant whose model_of_
-  /// entry names it.
-  struct Model {
-    /// Null for a tenant with no tuner, which is a model of its own. Shared
-    /// with the tuners, so a task queued before a re-attach still finds it.
-    std::shared_ptr<core::TunedTable> table;
-    /// Every entry published for the model, stamped into each snapshot its
-    /// tenants publish (an entry the published snapshot already carries
-    /// wins). Entries published before a tenant's first real snapshot wait
-    /// here instead of minting a version around an untrained default
-    /// ModelSnapshot.
-    std::map<int, TunedEntry> tuned;
-  };
 
   ShardOptions options_;
-  /// Per-tenant snapshot slots, indexed by TenantId (deque: a
-  /// SnapshotRegistry is immovable, and the slot set is fixed at
-  /// construction). All slots share publish_mutex_; readers are lock-free.
-  std::deque<SnapshotRegistry> registries_;
+  /// The one snapshot slot. Writers serialize on publish_mutex_; readers
+  /// are lock-free.
+  SnapshotRegistry registry_;
   Mutex publish_mutex_;
-  /// Per-tenant version counters; each tenant's versions are monotonic in
-  /// its own slot (publishes to tenant A never advance tenant B).
-  std::vector<std::uint64_t> version_counters_ GUARDED_BY(publish_mutex_);
-  /// Models, indexed by the high word of a retrain key: entry t starts as
-  /// tenant t's own model, and attach_tenant_tuner appends one per distinct
-  /// tuned table.
-  std::vector<Model> models_ GUARDED_BY(publish_mutex_);
-  /// Per-tenant index into models_.
-  std::vector<std::uint32_t> model_of_ GUARDED_BY(publish_mutex_);
+  /// Versions stamped so far: one per publish().
+  std::uint64_t version_ GUARDED_BY(publish_mutex_) = 0;
+  /// The models, indexed by the high word of a retrain key: one entry per
+  /// distinct tuned table, appended by attach_tenant_tuner and never
+  /// removed, so a task queued before a re-attach still finds its table.
+  std::vector<std::shared_ptr<core::TunedTable>> models_ GUARDED_BY(publish_mutex_);
   /// Per-tenant tuner pointers, indexed by TenantId; null until attached.
   std::deque<std::atomic<core::OnlineTuner*>> tuners_;
 
@@ -405,13 +370,8 @@ class TuningService : public TuningBackend {
   Mutex rebalance_mutex_;
 
   Mutex lifecycle_mutex_;
-  /// Wakes the rebalance policy thread when stop() flips stopped_.
-  CondVar stop_cv_;
   bool started_ GUARDED_BY(lifecycle_mutex_) = false;
   bool stopped_ GUARDED_BY(lifecycle_mutex_) = false;
-  /// Rebalance policy thread (only when rebalance_interval > 0); spawned in
-  /// start(), joined in stop() after the stopped_ handshake.
-  std::thread rebalance_thread_;
 };
 
 }  // namespace rafiki::serve

@@ -3,11 +3,12 @@
 // inside the ensemble (fit at train time, reused at predict time), so
 // swapping the snapshot swaps all three consistently — a half-updated model
 // is unrepresentable. Published through a VersionedRegistry; the service
-// assigns monotonically increasing versions at publish time.
+// assigns monotonically increasing versions at publish time. Tuned configs
+// are not part of a snapshot: they live in the model's core::TunedTable,
+// which the tuners read directly.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -23,13 +24,6 @@ class Rafiki;
 
 namespace rafiki::serve {
 
-/// One optimized configuration republished by the online-tuning path for a
-/// read-ratio bucket (OnlineTuner's memo granularity).
-struct TunedEntry {
-  engine::Config config = engine::Config::defaults();
-  double predicted_throughput = 0.0;
-};
-
 struct ModelSnapshot {
   /// Assigned by TuningService::publish; 0 until published.
   std::uint64_t version = 0;
@@ -43,12 +37,6 @@ struct ModelSnapshot {
   /// Shared (immutable) across snapshot versions; null until set, since a
   /// SearchSpace cannot be empty.
   std::shared_ptr<const opt::SearchSpace> space;
-  /// Read-ratio bucket width of the `tuned` keys.
-  double rr_bucket = 0.1;
-  /// Most recent optimized config per bucket, published by OnlineTuner. The
-  /// service stamps the tenant's whole tuned table into every snapshot the
-  /// tenant publishes, so a full publish never drops a tuned entry.
-  std::map<int, TunedEntry> tuned;
 
   /// Surrogate feature row for (workload, configuration) in this snapshot's
   /// feature order.

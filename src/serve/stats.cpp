@@ -18,11 +18,20 @@ std::size_t thread_slot() noexcept {
   return slot;
 }
 
-std::size_t pow2_at_least(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+// Histogram layouts and the stripe count. Latency samples at or above kLatencyHiUs clamp into
+// the last 50 us bin; background GA runs are orders of magnitude slower than
+// request service, hence the wider retrain range. The batch-size histogram
+// spans [1, kBatchHi).
+constexpr double kLatencyHiUs = 20000.0;
+constexpr std::size_t kLatencyBins = 400;
+constexpr double kRetrainHiUs = 5.0e6;
+constexpr std::size_t kRetrainBins = 200;
+constexpr std::size_t kBatchBins = 64;
+constexpr double kBatchHi = static_cast<double>(kBatchBins) + 1.0;
+/// Hot-path stripes: each recording thread lands on one (thread_slot() masked
+/// by kStripes - 1); 8 covers typical worker pools.
+constexpr std::size_t kStripes = 8;
+static_assert((kStripes & (kStripes - 1)) == 0, "the stripe mask needs a power of two");
 
 }  // namespace
 
@@ -90,31 +99,22 @@ void ServiceStats::AtomicHist::merge_into(Histogram& out) const noexcept {
 
 // --- stripe construction ----------------------------------------------------
 
-ServiceStats::EndpointStripe::EndpointStripe(const StatsOptions& options)
-    : latency(0.0, options.latency_hi_us, std::max<std::size_t>(options.latency_bins, 1)),
-      wire_latency(0.0, options.latency_hi_us,
-                   std::max<std::size_t>(options.latency_bins, 1)) {}
+ServiceStats::EndpointStripe::EndpointStripe()
+    : latency(0.0, kLatencyHiUs, kLatencyBins), wire_latency(0.0, kLatencyHiUs, kLatencyBins) {}
 
-ServiceStats::Stripe::Stripe(const StatsOptions& options)
-    : batch_hist(1.0, static_cast<double>(options.max_batch) + 1.0,
-                 std::max<std::size_t>(options.max_batch, 1)) {
+ServiceStats::Stripe::Stripe() : batch_hist(1.0, kBatchHi, kBatchBins) {
   per_endpoint.reserve(kEndpointCount);
   for (std::size_t i = 0; i < kEndpointCount; ++i)
-    per_endpoint.push_back(std::make_unique<EndpointStripe>(options));
+    per_endpoint.push_back(std::make_unique<EndpointStripe>());
 }
 
-ServiceStats::ServiceStats(StatsOptions options)
-    : options_(options),
-      retrain_hist_(0.0, options.retrain_hi_us,
-                    std::max<std::size_t>(options.retrain_bins, 1)) {
-  const std::size_t n = pow2_at_least(std::max<std::size_t>(options_.stripes, 1));
-  stripe_mask_ = n - 1;
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) stripes_.push_back(std::make_unique<Stripe>(options_));
+ServiceStats::ServiceStats() : retrain_hist_(0.0, kRetrainHiUs, kRetrainBins) {
+  stripes_.reserve(kStripes);
+  for (std::size_t i = 0; i < kStripes; ++i) stripes_.push_back(std::make_unique<Stripe>());
 }
 
 ServiceStats::Stripe& ServiceStats::stripe() noexcept {
-  return *stripes_[thread_slot() & stripe_mask_];
+  return *stripes_[thread_slot() & (kStripes - 1)];
 }
 
 // --- record path (relaxed atomics only; no locks) ---------------------------
@@ -295,10 +295,8 @@ ServiceStats::Counters ServiceStats::totals() const {
   return sum;
 }
 
-ServiceStats::EndpointAggregate::EndpointAggregate(const StatsOptions& options)
-    : latency(0.0, options.latency_hi_us, std::max<std::size_t>(options.latency_bins, 1)),
-      wire_latency(0.0, options.latency_hi_us,
-                   std::max<std::size_t>(options.latency_bins, 1)) {}
+ServiceStats::EndpointAggregate::EndpointAggregate()
+    : latency(0.0, kLatencyHiUs, kLatencyBins), wire_latency(0.0, kLatencyHiUs, kLatencyBins) {}
 
 double ServiceStats::EndpointAggregate::mean_latency_us() const noexcept {
   return latency_count ? latency_sum / static_cast<double>(latency_count) : 0.0;
@@ -315,7 +313,7 @@ void ServiceStats::EndpointAggregate::merge(const EndpointAggregate& other) noex
 }
 
 ServiceStats::EndpointAggregate ServiceStats::endpoint_aggregate(Endpoint endpoint) const {
-  EndpointAggregate agg(options_);
+  EndpointAggregate agg;
   fill_counters(endpoint, agg.counters);
   for (const auto& s : stripes_) {
     const auto& per = *s->per_endpoint[static_cast<std::size_t>(endpoint)];
@@ -367,8 +365,7 @@ ServiceStats::WireCounters ServiceStats::wire_counters() const {
 }
 
 double ServiceStats::latency_quantile(Endpoint endpoint, double q) const {
-  Histogram merged(0.0, options_.latency_hi_us,
-                   std::max<std::size_t>(options_.latency_bins, 1));
+  Histogram merged(0.0, kLatencyHiUs, kLatencyBins);
   for (const auto& s : stripes_)
     s->per_endpoint[static_cast<std::size_t>(endpoint)]->latency.merge_into(merged);
   return merged.quantile(q);
@@ -386,8 +383,7 @@ double ServiceStats::mean_latency_us(Endpoint endpoint) const {
 }
 
 double ServiceStats::wire_latency_quantile(Endpoint endpoint, double q) const {
-  Histogram merged(0.0, options_.latency_hi_us,
-                   std::max<std::size_t>(options_.latency_bins, 1));
+  Histogram merged(0.0, kLatencyHiUs, kLatencyBins);
   for (const auto& s : stripes_)
     s->per_endpoint[static_cast<std::size_t>(endpoint)]->wire_latency.merge_into(merged);
   return merged.quantile(q);
@@ -405,8 +401,7 @@ double ServiceStats::mean_wire_latency_us(Endpoint endpoint) const {
 }
 
 double ServiceStats::retrain_latency_quantile(double q) const {
-  Histogram merged(0.0, options_.retrain_hi_us,
-                   std::max<std::size_t>(options_.retrain_bins, 1));
+  Histogram merged(0.0, kRetrainHiUs, kRetrainBins);
   retrain_hist_.merge_into(merged);
   return merged.quantile(q);
 }
@@ -444,8 +439,7 @@ double ServiceStats::max_batch_size() const {
 }
 
 double ServiceStats::batch_quantile(double q) const {
-  Histogram merged(1.0, static_cast<double>(options_.max_batch) + 1.0,
-                   std::max<std::size_t>(options_.max_batch, 1));
+  Histogram merged(1.0, kBatchHi, kBatchBins);
   for (const auto& s : stripes_) s->batch_hist.merge_into(merged);
   return merged.quantile(q);
 }

@@ -45,26 +45,9 @@
 
 namespace rafiki::serve {
 
-struct StatsOptions {
-  /// Latency histogram range [0, latency_hi_us) in microseconds; samples
-  /// beyond are clamped into the last bin.
-  double latency_hi_us = 20000.0;
-  std::size_t latency_bins = 400;
-  /// Batch-size histogram range [1, max_batch + 1).
-  std::size_t max_batch = 64;
-  /// Retrain latency histogram range [0, retrain_hi_us): background GA runs
-  /// are orders of magnitude slower than request service.
-  double retrain_hi_us = 5.0e6;
-  std::size_t retrain_bins = 200;
-  /// Hot-path stripe count (rounded up to a power of two). Each recording
-  /// thread hashes to one stripe; more stripes = less false sharing at the
-  /// cost of read-time aggregation work. 8 covers typical worker pools.
-  std::size_t stripes = 8;
-};
-
 class ServiceStats {
  public:
-  explicit ServiceStats(StatsOptions options = {});
+  ServiceStats();
 
   ServiceStats(const ServiceStats&) = delete;
   ServiceStats& operator=(const ServiceStats&) = delete;
@@ -154,7 +137,7 @@ class ServiceStats {
   /// folded together. A sharded TuningService merges these across shards to
   /// render one service-wide table (TuningService::stats_table).
   struct EndpointAggregate {
-    explicit EndpointAggregate(const StatsOptions& options);
+    EndpointAggregate();
     Counters counters;
     Histogram latency;
     Histogram wire_latency;
@@ -164,8 +147,8 @@ class ServiceStats {
     double wire_sum = 0.0;
 
     double mean_latency_us() const noexcept;
-    /// Folds another shard's aggregate in; histogram ranges must match
-    /// (same StatsOptions), which shards sharing one template guarantee.
+    /// Folds another shard's aggregate in (every aggregate shares one
+    /// histogram layout).
     void merge(const EndpointAggregate& other) noexcept;
   };
 
@@ -244,8 +227,6 @@ class ServiceStats {
   /// decode errors, per-endpoint wire p50/p99).
   Table wire_table() const;
 
-  const StatsOptions& options() const noexcept { return options_; }
-
  private:
   /// Relaxed-atomic count/sum/max accumulator (the striped stand-in for the
   /// old Welford OnlineStats; only mean/max/count were ever consumed).
@@ -306,7 +287,7 @@ class ServiceStats {
   };
 
   struct EndpointStripe {
-    explicit EndpointStripe(const StatsOptions& options);
+    EndpointStripe();
     std::array<std::atomic<std::uint64_t>, kCtrCount> counters{};
     AtomicHist latency;
     AtomicAccum latency_stats;
@@ -318,7 +299,7 @@ class ServiceStats {
   /// lines; within a stripe, (mostly) one thread writes. Endpoint slabs sit
   /// behind unique_ptr because atomics make them non-movable.
   struct alignas(64) Stripe {
-    explicit Stripe(const StatsOptions& options);
+    Stripe();
     std::vector<std::unique_ptr<EndpointStripe>> per_endpoint;  // kEndpointCount
     AtomicHist batch_hist;
     AtomicAccum batch_stats;
@@ -334,8 +315,6 @@ class ServiceStats {
   std::uint64_t sum_counter(Endpoint endpoint, std::size_t idx) const noexcept;
   void fill_counters(Endpoint endpoint, Counters& out) const noexcept;
 
-  StatsOptions options_;
-  std::size_t stripe_mask_ = 0;
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
   // Retrain telemetry is written by one background thread plus low-rate

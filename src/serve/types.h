@@ -50,8 +50,8 @@ using TenantId = std::uint32_t;
 
 struct Request {
   Endpoint endpoint = Endpoint::kPredict;
-  /// Tenant namespace this request executes in (snapshot slot, tuner state,
-  /// retrain coalescing key-space). Travels on the wire in protocol v2.
+  /// Tenant namespace this request executes in (route key, tuner
+  /// state, admission quota). Travels on the wire in protocol v2.
   TenantId tenant = 0;
   /// The characterized workload the request concerns (all endpoints).
   double read_ratio = 0.5;
@@ -80,7 +80,7 @@ struct Response {
   /// kObserveWindow only: the returned config predates this window's regime.
   /// The tuner had no optimized entry for the (materially moved) read ratio,
   /// so the current config is served stale while a background optimization
-  /// was enqueued; a later window picks up the republished tuned entry.
+  /// was enqueued; a later window picks up the tuned entry from the table.
   bool stale = false;
   std::size_t surrogate_evaluations = 0;
 

@@ -6,9 +6,9 @@ namespace rafiki::tenant {
 
 FleetOptions TenantFleet::sanitize(FleetOptions options) {
   if (options.tenants == 0) options.tenants = 1;
-  // One snapshot slot / version counter / tuner per tenant in the service;
-  // whatever the caller left in shard.service.tenants is overridden — the
-  // fleet is the single source of truth for the tenant set.
+  // One tuner per tenant in the service; whatever the caller left in
+  // shard.service.tenants is overridden — the fleet is the single source of
+  // truth for the tenant set.
   options.shard.service.tenants = options.tenants;
   return options;
 }

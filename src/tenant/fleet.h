@@ -1,7 +1,7 @@
 // Multi-tenant fleet serving: one process answers many tenant namespaces
-// from a single TuningService, with per-tenant snapshot slots and tuners
-// over one shared model, per-tenant admission quotas, and telemetry-driven
-// rebalance.
+// from a single TuningService, with one published snapshot, per-tenant
+// tuners over one shared tuned table, per-tenant admission quotas, and
+// telemetry-driven rebalance.
 //
 //   client ──RKF2 frame (tenant t)──▶ net::Server
 //                                        │ try_submit(request{tenant=t})
@@ -12,8 +12,7 @@
 //                                        ▼                       (quota)
 //                                  TuningService
 //                              route (tenant, band) ──▶ shard k
-//                                        │ per-tenant snapshot slot;
-//                                        │ per-model tuned entries,
+//                                        │ one snapshot for every tenant;
 //                                        │ retrain keys (model, bucket)
 //                                        ▼
 //                                 per-tenant OnlineTuner (registry-owned)
@@ -22,12 +21,11 @@
 //                                 one core::TunedTable for the fleet
 //
 // The fleet is a TuningBackend decorator: everything below admission is the
-// one TuningService, configured with one snapshot slot / version counter /
-// tuner per tenant. attach_rafiki gives every tenant's tuner one shared
-// tuned table, so the fleet is one model to the service: a bucket's GA runs
-// once and its result republishes into every tenant's slot. Tenant 0 is the
-// default namespace, so a fleet of one is bit-for-bit the original
-// single-tenant stack.
+// one TuningService, configured with one tuner per tenant. attach_rafiki
+// gives every tenant's tuner one shared tuned table, so the fleet is one
+// model to the service: a bucket's GA runs once and lands in that table,
+// where every tenant's tuner finds it. Tenant 0 is the default namespace,
+// so a fleet of one is bit-for-bit the original single-tenant stack.
 //
 // Admission order is deliberate: registry lookup (unknown tenant -> the
 // typed kNotReady the wire already carries), then the in-flight cap, then
@@ -54,8 +52,7 @@ struct FleetOptions {
   /// Propagated into the service's ServiceOptions::tenants, so the inner
   /// value in `shard.service` is overwritten.
   std::size_t tenants = 1;
-  /// The inner TuningService (shard count, per-shard options, spill,
-  /// rebalance interval).
+  /// The inner TuningService (shard count, per-shard options, spill).
   serve::ShardOptions shard{};
   /// Per-tenant admission quota. Null (the default) leaves every tenant
   /// unlimited; the fleet bench uses this to give the noisy tenant a tight
@@ -73,9 +70,9 @@ class TenantFleet : public serve::TuningBackend {
 
   /// Builds one tuned table over the trained model and one OnlineTuner per
   /// tenant reading it, and attaches each tuner to the service
-  /// (ObserveWindow binding; one retrain key-space and one republish fan-out
-  /// for the whole fleet). `rafiki` must be trained and must outlive this
-  /// fleet. Call before start().
+  /// (ObserveWindow binding; one retrain key-space for the whole fleet).
+  /// `rafiki` must be trained and must outlive this fleet. Call before
+  /// start().
   void attach_rafiki(const core::Rafiki& rafiki,
                      core::OnlineTunerOptions tuner_options = {});
 

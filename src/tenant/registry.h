@@ -1,7 +1,8 @@
 // The tenant registry: the fleet's authoritative map from tenant id to that
 // tenant's admission quota and (once attach_rafiki runs) its own OnlineTuner
 // — private current config and reconfiguration counters over the fleet's one
-// shared tuned table.
+// shared tuned table. A tenant holds no model of its own: every tenant reads
+// the service's one published snapshot.
 // Tenants are dense ids [0, size); the registry is sized at construction and
 // never grows, so find() is a bounds check plus an index — no lock on the
 // admission path.

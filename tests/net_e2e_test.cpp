@@ -5,7 +5,8 @@
 // predictions), the wire being a transparent transport, never a second
 // implementation. Also covered: pipelining across a snapshot republish,
 // typed backpressure (Overloaded / ShuttingDown on the wire), error frames
-// for garbage bytes, and a graceful drain that answers every in-flight frame.
+// for garbage bytes, a graceful drain that answers every in-flight frame, and
+// an out-of-range read ratio that tunes only a bucket of [0, 1].
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -190,15 +191,16 @@ TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   EXPECT_TRUE(first.response.stale);
   EXPECT_FALSE(first.response.reconfigured);
 
+  // The GA lands in the tuner's table and publishes nothing.
   service.wait_retrain_idle();
-  EXPECT_EQ(service.model_version(), 2u);
+  EXPECT_EQ(service.model_version(), 1u);
 
   // Fresh hit over the wire adopts the tuned entry...
   const auto second = client.observe_window(0.2);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.response.stale);
   EXPECT_TRUE(second.response.reconfigured);
-  EXPECT_EQ(second.response.model_version, 2u);
+  EXPECT_EQ(second.response.model_version, 1u);
 
   // ...and the in-process path agrees on the exact same tuned state.
   serve::Request request;
@@ -210,6 +212,35 @@ TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   EXPECT_EQ(direct.config, second.response.config);
   EXPECT_EQ(direct.predicted_throughput, second.response.predicted_throughput);
   EXPECT_FALSE(direct.stale);
+
+  server.stop();
+  service.stop();
+}
+
+TEST_P(NetE2E, OutOfRangeReadRatioTunesTheTopBucketOnce) {
+  // The decoder admits any finite read ratio (in-repo clients send Predicts
+  // just above 1.0). An ObserveWindow far outside [0, 1] must still tune a
+  // bucket of [0, 1] — here the top one, 10 — with one GA.
+  serve::ServiceOptions options;
+  options.workers = 1;
+  core::OnlineTuner tuner(*rafiki_);
+  serve::TuningService service(options);
+  service.publish(serve::make_snapshot(*rafiki_));
+  service.attach_tuner(tuner);
+  service.start();
+  Server server(service, server_options());
+  ASSERT_TRUE(server.start()) << server.last_error();
+
+  Client client;
+  ASSERT_EQ(client.connect("127.0.0.1", server.port()), NetStatus::kOk);
+  const auto window = client.observe_window(1e300);
+  ASSERT_TRUE(window.ok()) << net_status_name(window.net);
+  EXPECT_EQ(window.response.status, serve::Status::kOk);
+
+  service.wait_retrain_idle();
+  EXPECT_EQ(service.retrain_counters().runs, 1u);
+  EXPECT_TRUE(tuner.table()->contains(10));
+  for (int bucket = 0; bucket < 10; ++bucket) EXPECT_FALSE(tuner.table()->contains(bucket));
 
   server.stop();
   service.stop();

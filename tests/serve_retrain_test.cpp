@@ -4,11 +4,11 @@
 // task whose bucket the table already holds counts as coalesced, not as a
 // run), a pool that runs distinct keys at once but never one key twice, one
 // bucket routed to two shards still costing one retrain task, the
-// stale-then-fresh window sequence under an injected clock, tuned entries
-// buffered until the first real snapshot publish and kept across later full
-// publishes, the GA running at the bucket centre, and the tuner's internal
-// synchronization under concurrent on_window/prefetch callers (a tsan
-// probe).
+// stale-then-fresh window sequence under an injected clock, a retrain that
+// mints no snapshot version (before or after the first publish), tuned
+// configs kept across full publishes, the GA running at the bucket centre,
+// the tuned table's bucket clamp, and the tuner's internal synchronization
+// under concurrent on_window/prefetch callers (a tsan probe).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -337,17 +337,17 @@ TEST_F(ServeRetrain, StaleThenFreshSequenceUnderInjectedClock) {
   clock->store(6);
   EXPECT_EQ(service.call(request).status, Status::kDeadlineExceeded);
 
-  // Background optimization lands; the next window is fresh and adopts the
-  // tuned config in the republished snapshot version.
+  // Background optimization lands in the table; the next window is fresh
+  // and adopts the tuned config under the same snapshot version.
   service.wait_retrain_idle();
   const auto fresh = service.call(window_request(0.8));
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh.stale);
   EXPECT_TRUE(fresh.reconfigured);
-  EXPECT_EQ(fresh.model_version, 2u);
-  const auto snapshot = service.snapshot();
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(fresh.config, snapshot->tuned.at(tuner.bucket_for(0.8)).config);
+  EXPECT_EQ(fresh.model_version, 1u);
+  const auto tuned = tuner.table()->find(tuner.bucket_for(0.8));
+  ASSERT_TRUE(tuned.has_value());
+  EXPECT_EQ(fresh.config, tuned->config);
   EXPECT_EQ(tuner.optimizer_runs(), 1u);
   service.stop();
 }
@@ -376,7 +376,32 @@ TEST_F(ServeRetrain, SameBucketWindowsCoalesceIntoOneGaRun) {
   service.stop();
 }
 
-TEST_F(ServeRetrain, TunedEntriesBufferUntilFirstRealPublish) {
+TEST_F(ServeRetrain, RetrainMintsNoVersion) {
+  ServiceOptions options;
+  options.workers = 1;
+  core::OnlineTuner tuner(*rafiki_);
+  TuningService service(options);
+  service.publish(make_snapshot(*rafiki_));
+  service.attach_tuner(tuner);
+  service.start();
+
+  // The lane's task ends at the tuned table: versions count publish() calls
+  // only, so a GA leaves the version where the publish put it.
+  ASSERT_TRUE(service.call(window_request(0.8)).stale);
+  EXPECT_EQ(service.model_version(), 1u);
+  service.wait_retrain_idle();
+  EXPECT_EQ(service.stats().retrain_counters().runs, 1u);
+  EXPECT_EQ(service.model_version(), 1u);
+
+  // The result is served all the same: the next window is fresh.
+  const auto fresh = service.call(window_request(0.8));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh.stale);
+  EXPECT_EQ(fresh.model_version, 1u);
+  service.stop();
+}
+
+TEST_F(ServeRetrain, RetrainBeforeFirstPublishMintsNoVersion) {
   ServiceOptions options;
   options.workers = 1;
   core::OnlineTuner tuner(*rafiki_);
@@ -396,11 +421,13 @@ TEST_F(ServeRetrain, TunedEntriesBufferUntilFirstRealPublish) {
   EXPECT_EQ(service.model_version(), 0u);
   EXPECT_EQ(service.snapshot(), nullptr);
 
-  // The first real publish folds the buffered tuned entry in.
+  // The first real publish is version 1, and the tuned config is already
+  // waiting in the table: the next window is fresh.
   EXPECT_EQ(service.publish(make_snapshot(*rafiki_)), 1u);
-  const auto snapshot = service.snapshot();
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(snapshot->tuned.count(tuner.bucket_for(0.2)), 1u);
+  const auto fresh = service.call(window_request(0.2));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh.stale);
+  EXPECT_EQ(fresh.model_version, 1u);
   service.stop();
 }
 
@@ -413,30 +440,21 @@ TEST_F(ServeRetrain, FullPublishKeepsTheTenantsTunedEntries) {
   service.attach_tuner(tuner);
   service.start();
 
-  // Tune bucket 0.8 in the background: version 2 carries the entry.
+  // Tune bucket 0.8 in the background: the entry lands in the table.
   ASSERT_TRUE(service.call(window_request(0.8)).stale);
   service.wait_retrain_idle();
-  const int bucket = tuner.bucket_for(0.8);
-  ASSERT_EQ(service.model_version(), 2u);
-  const TunedEntry tuned = service.snapshot()->tuned.at(bucket);
+  const auto tuned = tuner.table()->find(tuner.bucket_for(0.8));
+  ASSERT_TRUE(tuned.has_value());
 
-  // A full republish (the model-refresh path) must not drop it: the tuner
-  // still caches and serves that config.
-  EXPECT_EQ(service.publish(make_snapshot(*rafiki_)), 3u);
-  const auto snapshot = service.snapshot();
-  ASSERT_EQ(snapshot->tuned.count(bucket), 1u);
-  EXPECT_EQ(snapshot->tuned.at(bucket).config, tuned.config);
-  EXPECT_EQ(snapshot->tuned.at(bucket).predicted_throughput, tuned.predicted_throughput);
+  // A full republish (the model-refresh path) must not drop it: the next
+  // window is fresh and carries the table's config.
+  EXPECT_EQ(service.publish(make_snapshot(*rafiki_)), 2u);
   const auto window = service.call(window_request(0.8));
   ASSERT_TRUE(window.ok());
   EXPECT_FALSE(window.stale);
-  EXPECT_EQ(window.config, tuned.config);
-
-  // Where the published snapshot carries its own entry, that entry wins.
-  auto own = make_snapshot(*rafiki_);
-  own.tuned[bucket] = TunedEntry{engine::Config::defaults(), 1.0};
-  EXPECT_EQ(service.publish(std::move(own)), 4u);
-  EXPECT_EQ(service.snapshot()->tuned.at(bucket).predicted_throughput, 1.0);
+  EXPECT_EQ(window.config, tuned->config);
+  EXPECT_EQ(window.predicted_throughput, tuned->predicted_throughput);
+  EXPECT_EQ(window.model_version, 2u);
   EXPECT_EQ(tuner.optimizer_runs(), 1u);
   service.stop();
 }
@@ -451,15 +469,13 @@ TEST_F(ServeRetrain, PrefetchRoutesThroughTheRetrainWorker) {
   service.start();
 
   // prefetch() with the async hook set enqueues instead of optimizing on the
-  // calling thread; the result republishes exactly like an observe miss.
+  // calling thread; the result lands in the table exactly like an observe
+  // miss's.
   tuner.prefetch(0.8);
   service.wait_retrain_idle();
   EXPECT_TRUE(tuner.cached(0.8));
   EXPECT_EQ(tuner.optimizer_runs(), 1u);
-  EXPECT_EQ(service.model_version(), 2u);
-  const auto snapshot = service.snapshot();
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(snapshot->tuned.count(tuner.bucket_for(0.8)), 1u);
+  EXPECT_EQ(service.model_version(), 1u);
 
   // The prefetched regime's first window is already fresh.
   const auto window = service.call(window_request(0.8));
@@ -520,9 +536,10 @@ TEST_F(ServeRetrain, TunedConfigIsTheOptimumAtTheBucketCentre) {
   service.start();
   ASSERT_TRUE(service.call(window_request(0.84)).stale);
   service.wait_retrain_idle();
-  const auto tuned = service.snapshot()->tuned.at(8);
-  EXPECT_EQ(tuned.config, expected.config);
-  EXPECT_EQ(tuned.predicted_throughput, expected.predicted_throughput);
+  const auto tuned = served.table()->find(8);
+  ASSERT_TRUE(tuned.has_value());
+  EXPECT_EQ(tuned->config, expected.config);
+  EXPECT_EQ(tuned->predicted_throughput, expected.predicted_throughput);
   const auto window = service.call(window_request(0.84));
   EXPECT_FALSE(window.stale);
   EXPECT_EQ(window.config, expected.config);
@@ -576,6 +593,19 @@ TEST_F(TunedTable, TunesEachBucketOnceAtItsCentre) {
   EXPECT_FALSE(table.tune(8));
   EXPECT_TRUE(table.contains(8));
   EXPECT_FALSE(table.find(7).has_value());
+}
+
+TEST_F(TunedTable, BucketForClampsTheReadRatioIntoUnitRange) {
+  // A wire client may send any finite read ratio. Each must land in a
+  // bucket of [0, 1], so the GA never runs outside it and the table stays
+  // bounded; 1e300 / 0.1 would overflow the int conversion.
+  core::TunedTable table(*rafiki_);
+  EXPECT_EQ(table.bucket_for(-0.5), 0);
+  EXPECT_EQ(table.bucket_for(1.7), 10);
+  EXPECT_EQ(table.bucket_for(1e300), 10);
+  EXPECT_EQ(table.bucket_for(-1e300), 0);
+  EXPECT_EQ(table.bucket_for(1.0), 10);
+  EXPECT_EQ(table.bucket_for(0.0), 0);
 }
 
 TEST_F(TunedTable, TunersSharingOneTableAreRaceFreeAndAgree) {

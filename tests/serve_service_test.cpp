@@ -1,8 +1,8 @@
 // TuningService end-to-end: admission control (Overloaded on a full queue),
 // virtual-clock deadline expiry, micro-batcher size and empty-queue flushes,
-// lock-free snapshot swaps under concurrent load, and the ObserveWindow ->
-// publish-hook -> new-snapshot-version loop. The concurrency tests double as
-// tsan probes (see CMakePresets).
+// one batch across tenants, lock-free snapshot swaps under concurrent load,
+// and the ObserveWindow -> retrain lane -> tuned-table loop. The concurrency
+// tests double as tsan probes (see CMakePresets).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -175,6 +175,34 @@ TEST_F(ServeService, BatcherFlushesOnSizeTrigger) {
   EXPECT_DOUBLE_EQ(service.stats().mean_batch_size(), 4.0);
 }
 
+TEST_F(ServeService, PredictsOfDifferentTenantsShareOneBatch) {
+  // Every tenant reads the one published snapshot, so predicts queued by
+  // three tenants form one batch — one ensemble call — and each row is still
+  // the scalar path's exact bits.
+  ServiceOptions options;
+  options.tenants = 3;
+  options.workers = 1;
+  TuningService service(options);
+  service.publish(make_snapshot(*rafiki_));
+
+  std::vector<std::future<Response>> futures;
+  for (TenantId t = 0; t < 3; ++t) {
+    auto request = predict_request(0.2 + 0.3 * t);
+    request.tenant = t;
+    futures.push_back(service.submit(request));
+  }
+  service.start();
+  for (TenantId t = 0; t < 3; ++t) {
+    const auto response = futures[t].get();
+    ASSERT_EQ(response.status, Status::kOk) << "tenant " << t;
+    EXPECT_EQ(response.batch_size, 3u) << "tenant " << t;
+    EXPECT_EQ(response.mean, rafiki_->predict(0.2 + 0.3 * t, engine::Config::defaults()))
+        << "tenant " << t;
+  }
+  service.stop();
+  EXPECT_EQ(service.stats().batches(), 1u);
+}
+
 TEST_F(ServeService, AdaptiveBatcherFlushesWhenQueueEmpties) {
   // Regression for the lone-client stall: a batcher that waits for more
   // requests makes a lone request under a large max_batch sleep out its
@@ -274,8 +302,7 @@ TEST_F(ServeService, ObserveWindowIsStaleWhileRevalidate) {
   service.start();
 
   // A cache-miss window answers immediately with the (default) current
-  // config, stale-marked — no GA runs on the request path, no new version
-  // is published yet.
+  // config, stale-marked — no GA runs on the request path.
   Request request;
   request.endpoint = Endpoint::kObserveWindow;
   request.read_ratio = 0.2;
@@ -283,19 +310,15 @@ TEST_F(ServeService, ObserveWindowIsStaleWhileRevalidate) {
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.stale);
   EXPECT_FALSE(first.reconfigured);
-  // The version is read after the miss was enqueued, so a fast background
-  // GA may already have republished (1 = pre-retrain, 2 = raced ahead).
-  EXPECT_GE(first.model_version, 1u);
-  EXPECT_LE(first.model_version, 2u);
+  EXPECT_EQ(first.model_version, 1u);
   EXPECT_EQ(service.stats().counters(Endpoint::kObserveWindow).stale, 1u);
 
-  // Once the background worker finishes, the optimized config has been
-  // republished as a new snapshot version carrying the tuned entry.
+  // Once the background worker finishes, the optimized config sits in the
+  // tuner's table. A GA publishes nothing, so the version stays at 1.
   service.wait_retrain_idle();
-  EXPECT_EQ(service.model_version(), 2u);
-  const auto snapshot = service.snapshot();
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(snapshot->tuned.count(tuner.bucket_for(0.2)), 1u);
+  EXPECT_EQ(service.model_version(), 1u);
+  const auto tuned = tuner.table()->find(tuner.bucket_for(0.2));
+  ASSERT_TRUE(tuned.has_value());
   EXPECT_EQ(service.stats().retrain_counters().runs, 1u);
 
   // The next window in the bucket adopts the tuned config (fresh, not
@@ -304,14 +327,14 @@ TEST_F(ServeService, ObserveWindowIsStaleWhileRevalidate) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.stale);
   EXPECT_TRUE(second.reconfigured);
-  EXPECT_EQ(second.model_version, 2u);
-  EXPECT_EQ(second.config, snapshot->tuned.at(tuner.bucket_for(0.2)).config);
+  EXPECT_EQ(second.model_version, 1u);
+  EXPECT_EQ(second.config, tuned->config);
 
   const auto third = service.call(request);
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(third.stale);
   EXPECT_FALSE(third.reconfigured);
-  EXPECT_EQ(third.model_version, 2u);
+  EXPECT_EQ(third.model_version, 1u);
   EXPECT_EQ(tuner.optimizer_runs(), 1u);
   service.stop();
 }

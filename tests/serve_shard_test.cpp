@@ -1,6 +1,6 @@
 // Sharded TuningService: stable band->shard routing across restarts,
 // per-shard admission isolation, spill-to-sibling on overload, hot-band
-// rebalance, one shared model behind every tenant slot, sharded-vs-unsharded
+// rebalance, one shared model for every tenant, sharded-vs-unsharded
 // bit parity, worker budgets sized from the affinity mask, and the striped
 // ServiceStats merge-on-read contract under
 // concurrent writers (the latter is the suite's tsan probe).
@@ -217,7 +217,7 @@ TEST_F(ServeShard, RebalanceDeclinesWhenNothingImproves) {
 }
 
 TEST_F(ServeShard, PublishSharesOneModelAcrossTenantsAndShards) {
-  // One publish on a 64-tenant x 4-shard service: every tenant slot holds a
+  // One publish on a 64-tenant x 4-shard service: every tenant reads a
   // snapshot whose ensemble is the trained pipeline's own fitted block —
   // no member net is copied, whatever the tenant or shard count.
   ShardOptions options;

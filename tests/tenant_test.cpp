@@ -1,12 +1,11 @@
 // Tenant fleet: token-bucket and in-flight quota semantics under an injected
-// clock, fleet admission verdicts and fairness counters, per-tenant publish
-// isolation (bit-exact snapshot pointers), one GA per (model, bucket) shared
-// by every tenant of the model (and never across models), the per-tenant
-// optimizer_runs() count, tuned tables bit-identical across shard counts,
-// fleet-of-one parity with the single-tenant service, and the
-// rebalance-vs-publish race
-// (the suite's tsan probe: the policy thread migrates route slots while
-// publishes fan out and requests route).
+// clock, fleet admission verdicts and fairness counters, one published
+// snapshot for every tenant (one pointer, one version), one GA per (model,
+// bucket) shared by every tenant of the model (and never across models), the
+// per-tenant optimizer_runs() count, tuned tables bit-identical across shard
+// counts, fleet-of-one parity with the single-tenant service, and the
+// rebalance-vs-publish race (the suite's tsan probe: route slots migrate
+// while publishes swap the snapshot and requests route).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -218,32 +217,25 @@ class TenantFleetServing : public ::testing::Test {
 
 core::Rafiki* TenantFleetServing::rafiki_ = nullptr;
 
-TEST_F(TenantFleetServing, PublishToOneTenantLeavesSiblingsBitExact) {
-  serve::ServiceOptions options;
-  options.tenants = 3;
-  options.workers = 0;
+TEST_F(TenantFleetServing, OnePublishServesEveryTenantOneSnapshot) {
+  serve::ShardOptions options;
+  options.shards = 4;
+  options.service.tenants = 64;
+  options.service.workers = 0;
   serve::TuningService service(options);
-  service.publish(serve::make_snapshot(*rafiki_));
+  EXPECT_EQ(service.publish(serve::make_snapshot(*rafiki_)), 1u);
 
-  // All slots share the publish but stamp their own (equal) first version.
-  for (serve::TenantId t = 0; t < 3; ++t) {
-    ASSERT_NE(service.tenant_snapshot(t), nullptr) << t;
+  // One slot for the whole fleet: every tenant reads the very same snapshot
+  // (the same pointer, not an equal copy) at the one version.
+  const auto published = service.snapshot();
+  ASSERT_NE(published, nullptr);
+  for (serve::TenantId t = 0; t < 64; ++t) {
+    EXPECT_EQ(service.tenant_snapshot(t).get(), published.get()) << t;
     EXPECT_EQ(service.tenant_model_version(t), 1u) << t;
   }
-  const auto snap0 = service.tenant_snapshot(0);
-  const auto snap2 = service.tenant_snapshot(2);
-
-  // A tuned republish into tenant 1's slot must not touch tenant 0 or 2:
-  // same shared_ptr (bit-exact, not just equal) and same version.
-  const auto result = rafiki_->optimize(0.42);
-  service.publish_tuned(1, 42, result.config, result.predicted_throughput);
-  EXPECT_EQ(service.tenant_model_version(1), 2u);
-  EXPECT_EQ(service.tenant_snapshot(1)->tuned.count(42), 1u);
-  EXPECT_EQ(service.tenant_snapshot(0).get(), snap0.get());
-  EXPECT_EQ(service.tenant_snapshot(2).get(), snap2.get());
-  EXPECT_EQ(service.tenant_model_version(0), 1u);
-  EXPECT_EQ(service.tenant_model_version(2), 1u);
-  EXPECT_EQ(service.tenant_snapshot(0)->tuned.count(42), 0u);
+  // A tenant outside the service reads nothing.
+  EXPECT_EQ(service.tenant_snapshot(64), nullptr);
+  EXPECT_EQ(service.tenant_model_version(64), 0u);
   service.stop();
 }
 
@@ -282,8 +274,8 @@ TEST_F(TenantFleetServing, TenantsShareTheModelButAnswerIndependently) {
   fleet.publish(serve::make_snapshot(*rafiki_));
   fleet.start();
 
-  // The same question from different tenants reads per-tenant slots holding
-  // the same published model: answers are bit-identical.
+  // The same question from different tenants reads the one published
+  // model: answers are bit-identical.
   serve::Response first;
   for (serve::TenantId t = 0; t < 3; ++t) {
     const auto response = fleet.call(request_for(t, serve::Endpoint::kPredict, 0.61));
@@ -323,17 +315,13 @@ TEST_F(TenantFleetServing, TenantsOfOneModelShareOneGaPerBucket) {
 
   EXPECT_EQ(fleet.retrain_counters().runs, 1u);
   EXPECT_EQ(fleet.retrain_counters().coalesced, 1u);
-  // The one GA answered both tenants: the table holds the bucket and the
-  // entry was republished into each tenant's slot.
+  // The one GA answered both tenants through the one table they read; it
+  // published nothing, so both still read version 1.
+  EXPECT_EQ(fleet.tuner(0)->table(), fleet.tuner(1)->table());
   EXPECT_TRUE(fleet.tuner(0)->cached(rr));
   EXPECT_TRUE(fleet.tuner(1)->cached(rr));
-  const int bucket = fleet.tuner(0)->bucket_for(rr);
-  ASSERT_EQ(fleet.tenant_snapshot(0)->tuned.count(bucket), 1u);
-  ASSERT_EQ(fleet.tenant_snapshot(1)->tuned.count(bucket), 1u);
-  EXPECT_EQ(fleet.tenant_snapshot(0)->tuned.at(bucket).config,
-            fleet.tenant_snapshot(1)->tuned.at(bucket).config);
-  EXPECT_EQ(fleet.tenant_model_version(0), 2u);
-  EXPECT_EQ(fleet.tenant_model_version(1), 2u);
+  EXPECT_EQ(fleet.tenant_model_version(0), 1u);
+  EXPECT_EQ(fleet.tenant_model_version(1), 1u);
   fleet.stop();
 }
 
@@ -361,9 +349,7 @@ TEST_F(TenantFleetServing, TunersWithSeparateTablesNeverCoalesce) {
   EXPECT_EQ(service.retrain_counters().coalesced, 0u);
   EXPECT_TRUE(a.cached(rr));
   EXPECT_TRUE(b.cached(rr));
-  const int bucket = a.bucket_for(rr);
-  EXPECT_EQ(service.tenant_snapshot(0)->tuned.count(bucket), 1u);
-  EXPECT_EQ(service.tenant_snapshot(1)->tuned.count(bucket), 1u);
+  EXPECT_NE(a.table(), b.table());
   EXPECT_EQ(a.optimizer_runs(), 1u);
   EXPECT_EQ(b.optimizer_runs(), 1u);
   service.stop();
@@ -391,7 +377,9 @@ TEST_F(TenantFleetServing, OptimizerRunsCountsTheBucketsEachTenantReceived) {
   ASSERT_EQ(second.status, serve::Status::kOk);
   EXPECT_FALSE(second.stale);
   EXPECT_TRUE(second.reconfigured);
-  EXPECT_EQ(second.config, fleet.tenant_snapshot(1)->tuned.at(3).config);
+  const auto held = fleet.tuner(1)->table()->find(3);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(second.config, held->config);
   fleet.wait_retrain_idle();
   EXPECT_EQ(fleet.retrain_counters().runs, 1u);
 
@@ -405,8 +393,8 @@ TEST_F(TenantFleetServing, OptimizerRunsCountsTheBucketsEachTenantReceived) {
 
 TEST_F(TenantFleetServing, TunedTableIsBitIdenticalAcrossShardCounts) {
   // The sharded == unsharded contract for tuning: the same windows from the
-  // same tenants leave the same tuned entries, bit for bit, in every
-  // tenant's slot, whichever shard answered them.
+  // same tenants leave the same tuned entries, bit for bit, in the fleet's
+  // one table, whichever shard answered them.
   const std::vector<double> ratios = {0.05, 0.28, 0.55, 0.76, 0.84, 0.97};
   const auto tune_fleet = [&](std::size_t shards) {
     FleetOptions options;
@@ -429,46 +417,48 @@ TEST_F(TenantFleetServing, TunedTableIsBitIdenticalAcrossShardCounts) {
   const auto four = tune_fleet(4);
   EXPECT_EQ(one->retrain_counters().runs, 5u);  // 0.76 and 0.84 share bucket 8
   EXPECT_EQ(four->retrain_counters().runs, 5u);
-  for (serve::TenantId t = 0; t < 4; ++t) {
-    const auto& expected = one->tenant_snapshot(t)->tuned;
-    const auto& actual = four->tenant_snapshot(t)->tuned;
-    ASSERT_EQ(expected.size(), 5u) << "tenant " << t;
-    ASSERT_EQ(actual.size(), expected.size()) << "tenant " << t;
-    for (const auto& [bucket, entry] : expected) {
-      ASSERT_EQ(actual.count(bucket), 1u) << "tenant " << t << " bucket " << bucket;
-      EXPECT_EQ(actual.at(bucket).config, entry.config) << "bucket " << bucket;
-      EXPECT_EQ(actual.at(bucket).predicted_throughput, entry.predicted_throughput)
-          << "bucket " << bucket;
-      const auto held = four->tuner(t)->table()->find(bucket);
-      ASSERT_TRUE(held.has_value()) << "bucket " << bucket;
-      EXPECT_EQ(held->config, entry.config) << "bucket " << bucket;
-    }
+  for (serve::TenantId t = 1; t < 4; ++t) {
+    EXPECT_EQ(one->tuner(t)->table(), one->tuner(0)->table()) << "tenant " << t;
+    EXPECT_EQ(four->tuner(t)->table(), four->tuner(0)->table()) << "tenant " << t;
   }
+  std::size_t held = 0;
+  for (int bucket = 0; bucket <= 10; ++bucket) {
+    const auto expected = one->tuner(0)->table()->find(bucket);
+    const auto actual = four->tuner(0)->table()->find(bucket);
+    ASSERT_EQ(actual.has_value(), expected.has_value()) << "bucket " << bucket;
+    if (!expected) continue;
+    ++held;
+    EXPECT_EQ(actual->config, expected->config) << "bucket " << bucket;
+    EXPECT_EQ(actual->predicted_throughput, expected->predicted_throughput)
+        << "bucket " << bucket;
+  }
+  EXPECT_EQ(held, 5u);
 }
 
-// The tsan probe: the rebalance policy thread rewrites the route table while
-// publishes fan out to every shard and concurrent clients submit across
-// tenants. No assertion beyond "finishes and stays coherent" — the value is
-// the interleaving under -fsanitize=thread.
+// The tsan probe: one thread rewrites the route table with
+// rebalance_hottest() and another swaps in fully published snapshots while
+// concurrent clients submit across tenants. No assertion beyond "finishes
+// and stays coherent" — the value is the interleaving under
+// -fsanitize=thread.
 TEST_F(TenantFleetServing, RebalanceRacesPublishAndTrafficCleanly) {
   FleetOptions options;
   options.tenants = 4;
   options.shard.shards = 4;
   options.shard.service.workers = 2;
-  options.shard.rebalance_interval = std::chrono::milliseconds(1);
   TenantFleet fleet(options);
   fleet.publish(serve::make_snapshot(*rafiki_));
   fleet.start();
 
   std::atomic<bool> stop{false};
-  const auto tuned = rafiki_->optimize(0.3);
-  std::thread publisher([&] {
-    int bucket = 0;
+  std::thread rebalancer([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      fleet.router().publish_tuned(static_cast<serve::TenantId>(bucket % 4),
-                                   bucket % 101, tuned.config,
-                                   tuned.predicted_throughput);
-      ++bucket;
+      fleet.router().rebalance_hottest();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::thread publisher([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      fleet.publish(serve::make_snapshot(*rafiki_));
     }
   });
   std::vector<std::thread> clients;
@@ -485,13 +475,15 @@ TEST_F(TenantFleetServing, RebalanceRacesPublishAndTrafficCleanly) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop.store(true, std::memory_order_release);
+  rebalancer.join();
   publisher.join();
   for (auto& t : clients) t.join();
   fleet.stop();
 
-  // Coherence after the storm: every tenant still serves a snapshot and the
-  // route table still maps every key to a live shard.
+  // Coherence after the storm: every tenant still serves the one snapshot
+  // and the route table still maps every key to a live shard.
   for (serve::TenantId t = 0; t < 4; ++t) {
+    EXPECT_EQ(fleet.tenant_snapshot(t), fleet.snapshot());
     EXPECT_NE(fleet.tenant_snapshot(t), nullptr);
     for (std::size_t band = 0; band < serve::TuningService::kBands; ++band) {
       EXPECT_LT(fleet.router().shard_of_key(t, band), fleet.router().shard_count());

@@ -20,8 +20,9 @@
 // shard's workers to a contiguous CPU range.
 //
 // --tenants N (N > 1) serves a multi-tenant fleet (tenant::TenantFleet):
-// each tenant gets its own model slot and OnlineTuner (all tuners read one
-// shared tuned table), requests route by the RKF2 header's tenant field,
+// every tenant reads the one published model and gets its own OnlineTuner
+// (all tuners read one shared tuned table), requests route by the RKF2
+// header's tenant field,
 // and the drain report includes the fleet's
 // admission fairness counters. Tenant ids 0..N-1 are valid; anything else
 // answers kNotReady.

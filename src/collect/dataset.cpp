@@ -215,9 +215,11 @@ std::vector<engine::Config> sample_configs_focused(
 Dataset collect_dataset(const std::vector<engine::Config>& configs,
                         const std::vector<double>& read_ratios,
                         const workload::WorkloadSpec& base_workload,
-                        const CollectOptions& options) {
+                        const CollectOptions& options, std::size_t threads) {
+  // Plan first: fault draws and measurement seeds follow the lattice order
+  // whatever the thread count.
   rafiki::Rng rng(options.seed);
-  Dataset dataset;
+  std::vector<Measurement> plan;
   std::uint64_t measurement = 0;
   for (const auto& config : configs) {
     for (double rr : read_ratios) {
@@ -229,12 +231,14 @@ Dataset collect_dataset(const std::vector<engine::Config>& configs,
       workload.read_ratio = rr;
       MeasureOptions measure_opts = options.measure;
       measure_opts.seed = options.measure.seed + measurement;
-      Sample sample;
-      sample.workload = workload;
-      sample.config = config;
-      sample.throughput = measure_throughput(config, workload, measure_opts);
-      dataset.add(std::move(sample));
+      plan.push_back({config, workload, measure_opts});
     }
+  }
+
+  const auto stats = measure_plan(plan, threads);
+  Dataset dataset;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    dataset.add({plan[i].workload, plan[i].config, stats[i].throughput_ops});
   }
   return dataset;
 }

@@ -4,6 +4,7 @@
 // sample dropout, dimension-wise train/test splits and CSV round-tripping.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -87,10 +88,12 @@ struct CollectOptions {
 };
 
 /// Full collection pass: every workload in `read_ratios` against every
-/// config; returns surviving samples.
+/// config; returns surviving samples in lattice order. The measurements run
+/// through measure_plan on up to `threads` threads (0 = one per CPU); the
+/// dataset is bit-identical at any count.
 Dataset collect_dataset(const std::vector<engine::Config>& configs,
                         const std::vector<double>& read_ratios,
                         const workload::WorkloadSpec& base_workload,
-                        const CollectOptions& options);
+                        const CollectOptions& options, std::size_t threads = 0);
 
 }  // namespace rafiki::collect

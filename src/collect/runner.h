@@ -3,9 +3,16 @@
 // (paper: a fresh Docker container) that is bulk-loaded with the dataset,
 // warmed with a short burst of mixed traffic, and then benchmarked for a
 // fixed operation budget standing in for the 5-minute measurement window.
+//
+// A sweep is a plan of independent measurements, each with its own seed,
+// and measure_plan is its one executor: it runs the plan on
+// util::parallel_for and builds each distinct preloaded store once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "engine/config.h"
 #include "engine/server.h"
@@ -32,6 +39,23 @@ struct MeasureOptions {
   double window_s = 10.0;
   engine::Hardware hardware{};
 };
+
+/// One planned measurement: everything measure() takes, seed included.
+struct Measurement {
+  engine::Config config;
+  workload::WorkloadSpec workload;
+  MeasureOptions options;
+};
+
+/// Measures every entry of `plan` exactly as measure() would, on up to
+/// `threads` threads (0 = one per CPU, 1 = serial), and returns the stats
+/// by index: bit-identical at any thread count. Entries whose preloaded
+/// tables are the same (engine::Server::table_spec and initial_keys) share
+/// one table set, built by the first of them to run and dropped after the
+/// last; runs execute grouped by table set, so at most about `threads` sets
+/// are alive at once whatever the plan holds.
+std::vector<engine::RunStats> measure_plan(std::span<const Measurement> plan,
+                                           std::size_t threads = 0);
 
 /// One full measurement: fresh server + preload + warmup + benchmark.
 engine::RunStats measure(const engine::Config& config, const workload::WorkloadSpec& workload,

@@ -47,6 +47,10 @@ const std::vector<ParamRanking>& Rafiki::rank_parameters() {
   workload::WorkloadSpec workload = options_.base_workload;
   workload.read_ratio = options_.anova_read_ratio;
 
+  // Plan the whole sweep first, drawing every seed in the serial order (the
+  // counter advances once per repeat), then measure it in one go.
+  std::vector<collect::Measurement> plan;
+  std::vector<std::size_t> level_counts;  // per registered parameter
   std::uint64_t seed_counter = options_.collect.seed;
   for (const auto& spec : engine::param_registry()) {
     // Vary this parameter alone, others at defaults (Section 3.4.1), with
@@ -54,21 +58,28 @@ const std::vector<ParamRanking>& Rafiki::rank_parameters() {
     opt::SearchSpace one_dim({{std::string(spec.name),
                                spec.type != engine::ParamType::kReal, spec.lo, spec.hi}});
     const auto levels = one_dim.level_values(0, static_cast<std::size_t>(spec.anova_levels));
-
-    std::vector<std::vector<double>> groups;
     for (double level : levels) {
       const auto config = engine::Config::defaults().with(spec.id, level);
-      std::vector<double> group;
       for (std::size_t r = 0; r < options_.anova_repeats; ++r) {
         collect::MeasureOptions measure = options_.collect.measure;
         measure.seed = ++seed_counter * 7919 + r;
-        group.push_back(collect::measure_throughput(config, workload, measure));
+        plan.push_back({config, workload, measure});
       }
-      groups.push_back(std::move(group));
     }
+    level_counts.push_back(levels.size());
+  }
+  const auto stats = collect::measure_plan(plan, options_.threads);
 
+  std::size_t next = 0;
+  for (std::size_t p = 0; p < level_counts.size(); ++p) {
+    std::vector<std::vector<double>> groups(level_counts[p]);
+    for (auto& group : groups) {
+      for (std::size_t r = 0; r < options_.anova_repeats; ++r) {
+        group.push_back(stats[next++].throughput_ops);
+      }
+    }
     ParamRanking entry;
-    entry.id = spec.id;
+    entry.id = engine::param_registry()[p].id;
     entry.score = ml::level_mean_stddev(groups);
     const auto anova = ml::one_way_anova(groups);
     entry.f_statistic = anova.f_statistic;
@@ -208,12 +219,13 @@ collect::Dataset Rafiki::collect() {
                            : collect::sample_configs(params, options_.n_configs,
                                                      options_.collect.seed);
   return collect::collect_dataset(configs, options_.workload_grid, options_.base_workload,
-                                  options_.collect);
+                                  options_.collect, options_.threads);
 }
 
 void Rafiki::train(const collect::Dataset& dataset) {
   const auto& params = select_key_params();
-  surrogate_.fit(dataset.feature_matrix(params), dataset.targets(), options_.ensemble);
+  surrogate_.fit(dataset.feature_matrix(params), dataset.targets(), options_.ensemble,
+                 options_.threads);
 }
 
 double Rafiki::predict(double read_ratio, const engine::Config& config) const {

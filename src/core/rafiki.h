@@ -44,6 +44,12 @@ struct RafikiOptions {
   ml::EnsembleOptions ensemble{};
   opt::GaOptions ga{};
 
+  /// Threads for the pipeline's parallel stages, the ANOVA sweep, the
+  /// collect plan and the surrogate fit (util::parallel_for): 0 = one per
+  /// CPU in the affinity mask, 1 = serial. Every result is bit-identical
+  /// at any count (asserted in determinism_test).
+  std::size_t threads = 0;
+
   /// Risk-aversion of the configuration search: when > 0 the GA maximizes
   /// the ensemble's lower confidence bound (mean − risk_aversion × member
   /// spread) instead of the raw mean. The argmax of a noisy surrogate

@@ -24,14 +24,21 @@ std::uint64_t mix64(std::uint64_t z) noexcept {
   return z ^ (z >> 31);
 }
 
+double sstable_target_bytes(const Config& config, const Hardware& hardware) {
+  return config.get(ParamId::kSstableSizeMb) * 1024.0 * 1024.0 * hardware.mem_scale;
+}
+
+bool is_leveled(const Config& config) {
+  return config.get_int(ParamId::kCompactionMethod) == 1;
+}
+
 }  // namespace
 
 Server::Server(Config config, Hardware hardware, CostModel costs)
     : config_(std::move(config)), hardware_(hardware), costs_(costs) {
   chunk_kb_ = config_.get(ParamId::kCompressionChunkKb);
-  sstable_target_bytes_ =
-      config_.get(ParamId::kSstableSizeMb) * 1024.0 * 1024.0 * hardware_.mem_scale;
-  leveled_ = config_.get_int(ParamId::kCompactionMethod) == 1;
+  sstable_target_bytes_ = sstable_target_bytes(config_, hardware_);
+  leveled_ = is_leveled(config_);
 
   const double scale_bytes = 1024.0 * 1024.0 * hardware_.mem_scale;
   const double chunk_bytes = chunk_kb_ * 1024.0;
@@ -68,14 +75,30 @@ std::uint64_t Server::page_id(std::uint32_t table_id, std::size_t rank,
 
 void Server::preload(std::span<const std::int64_t> keys, std::uint32_t value_bytes,
                      double version_dup) {
-  if (!tables_.empty() || !active_.empty()) {
-    throw std::logic_error("Server::preload: store is not empty");
-  }
-  const double avg_row =
-      static_cast<double>(value_bytes) + static_cast<double>(Memtable::kRowOverheadBytes);
-  const double bloom_fp = config_.get(ParamId::kBloomFilterFpChance);
+  load(build_tables(table_spec(config_, hardware_, value_bytes, version_dup), keys));
+}
 
-  if (!leveled_) {
+TableSet::Spec Server::table_spec(const Config& config, const Hardware& hardware,
+                                  std::uint32_t value_bytes, double version_dup) {
+  TableSet::Spec spec;
+  spec.leveled = is_leveled(config);
+  spec.sstable_target_bytes = spec.leveled ? sstable_target_bytes(config, hardware) : 0.0;
+  spec.bloom_fp_chance = config.get(ParamId::kBloomFilterFpChance);
+  spec.value_bytes = value_bytes;
+  spec.version_dup = version_dup;
+  return spec;
+}
+
+TableSet Server::build_tables(const TableSet::Spec& spec,
+                              std::span<const std::int64_t> keys) {
+  TableSet set;
+  auto& tables = set.tables;
+  const double avg_row = static_cast<double>(spec.value_bytes) +
+                         static_cast<double>(Memtable::kRowOverheadBytes);
+  const double bloom_fp = spec.bloom_fp_chance;
+  const double version_dup = spec.version_dup;
+
+  if (!spec.leveled) {
     // Striped assignment: every table spans the whole key range (overlapping
     // runs, as a size-tiered store looks after sustained load), with
     // geometric sizes so the bucketing does not immediately re-merge them.
@@ -110,12 +133,12 @@ void Server::preload(std::span<const std::int64_t> keys, std::uint32_t value_byt
     }
     for (auto& group : groups) {
       if (group.empty()) continue;
-      tables_.emplace_back(next_table_id_++, std::move(group), avg_row, bloom_fp, 0);
+      tables.emplace_back(set.next_id++, std::move(group), avg_row, bloom_fp, 0);
     }
   } else {
     // Weighted striping across levels 1..L sized by the 10x level targets, so
     // each level spans the whole key range like a production leveled store.
-    LeveledPlanner planner(sstable_target_bytes_);
+    LeveledPlanner planner(spec.sstable_target_bytes);
     const double total_bytes = avg_row * static_cast<double>(keys.size());
     int max_level = 1;
     double capacity = planner.level_target_bytes(1);
@@ -142,10 +165,9 @@ void Server::preload(std::span<const std::int64_t> keys, std::uint32_t value_byt
     for (int level = 1; level <= max_level; ++level) {
       auto& level_keys = per_level[static_cast<std::size_t>(level - 1)];
       if (level_keys.empty()) continue;
-      auto split = SSTable::split_into_tables(next_table_id_, std::move(level_keys),
-                                              avg_row, sstable_target_bytes_, bloom_fp,
-                                              level);
-      for (auto& table : split) tables_.push_back(std::move(table));
+      auto split = SSTable::split_into_tables(set.next_id, std::move(level_keys), avg_row,
+                                              spec.sstable_target_bytes, bloom_fp, level);
+      for (auto& table : split) tables.push_back(std::move(table));
     }
     // Recent update versions not yet promoted out of L0: leveled compaction
     // retires versions continuously, so only a fraction of the update
@@ -160,9 +182,18 @@ void Server::preload(std::span<const std::int64_t> keys, std::uint32_t value_byt
       if (du < survive) l0_keys.push_back(key);
     }
     if (!l0_keys.empty()) {
-      tables_.emplace_back(next_table_id_++, std::move(l0_keys), avg_row, bloom_fp, 0);
+      tables.emplace_back(set.next_id++, std::move(l0_keys), avg_row, bloom_fp, 0);
     }
   }
+  return set;
+}
+
+void Server::load(const TableSet& set) {
+  if (!tables_.empty() || !active_.empty() || next_table_id_ != 1) {
+    throw std::logic_error("Server::load: store is not empty");
+  }
+  tables_ = set.tables;
+  next_table_id_ = set.next_id;
 
   // Freshly-loaded data sits in the OS page cache to the extent it fits, so
   // measurement does not begin from an artificial all-cold state.
@@ -202,19 +233,18 @@ void Server::rebuild_level_index() {
   level_index_dirty_ = false;
 }
 
-std::vector<const SSTable*> Server::read_candidates(std::int64_t key) const {
-  std::vector<const SSTable*> out;
+void Server::read_candidates(std::int64_t key) {
+  candidates_.clear();
   if (!leveled_) {
     for (const auto& table : tables_) {
-      if (table.range_covers(key)) out.push_back(&table);
+      if (table.range_covers(key)) candidates_.push_back(&table);
     }
-    return out;
+    return;
   }
-  auto* self = const_cast<Server*>(this);
-  if (level_index_dirty_) self->rebuild_level_index();
-  if (level_index_.empty()) return out;
+  if (level_index_dirty_) rebuild_level_index();
+  if (level_index_.empty()) return;
   for (auto idx : level_index_[0]) {
-    if (tables_[idx].range_covers(key)) out.push_back(&tables_[idx]);
+    if (tables_[idx].range_covers(key)) candidates_.push_back(&tables_[idx]);
   }
   for (std::size_t level = 1; level < level_index_.size(); ++level) {
     const auto& row = level_index_[level];
@@ -226,9 +256,8 @@ std::vector<const SSTable*> Server::read_candidates(std::int64_t key) const {
                                });
     if (it == row.begin()) continue;
     const auto& table = tables_[*(it - 1)];
-    if (table.range_covers(key)) out.push_back(&table);
+    if (table.range_covers(key)) candidates_.push_back(&table);
   }
-  return out;
 }
 
 double Server::access_page(std::uint64_t page_id, Acc& acc) {
@@ -286,17 +315,22 @@ void Server::execute_read(std::int64_t key, Acc& acc) {
 
   double probes = 0.0;
   const double before_cpu = acc.cpu_us;
-  for (const SSTable* table : read_candidates(key)) {
+  read_candidates(key);
+  for (const SSTable* table : candidates_) {
     cpu += costs_.bloom_check_us;
     if (!table->maybe_contains(key)) continue;
     probes += 1.0;
     const bool key_cached = key_cache_.capacity() && key_cache_.touch(key);
     cpu += costs_.index_probe_us * (key_cached ? 0.3 : 1.0) * summary_mult;
-    if (!table->has_key(key)) continue;  // bloom false positive: index-only probe
-    if (table->is_tombstone(key)) continue;  // deletion marker: no data page
-    latency_extra += access_page(page_id(table->id(), table->key_rank(key),
-                                         table->avg_row_bytes()),
-                                 acc);
+    // One binary search gives both membership and the page rank.
+    const std::size_t rank = table->key_rank(key);
+    if (rank == table->key_count() || table->keys()[rank] != key) {
+      continue;  // bloom false positive: index-only probe
+    }
+    if (table->tombstone_count() != 0 && table->is_tombstone(key)) {
+      continue;  // deletion marker: no data page
+    }
+    latency_extra += access_page(page_id(table->id(), rank, table->avg_row_bytes()), acc);
     cpu += costs_.data_read_us + 0.02 * config_.get(ParamId::kColumnIndexSizeKb);
   }
   // access_page charged its CPU directly into acc; separate it from waits.

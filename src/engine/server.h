@@ -76,6 +76,26 @@ struct RunStats {
   std::array<double, 5> binding_fractions{};
 };
 
+/// The tables a bulk load installs (Server::preload): a pure function of a
+/// Spec and the loaded keys. The tables share their runs with every copy,
+/// so a set built once can be loaded by any number of servers, from any
+/// number of threads.
+struct TableSet {
+  /// Everything the loaded tables depend on besides the keys. The chunk
+  /// size and the cache capacities only change which pages load() warms.
+  struct Spec {
+    bool leveled = false;
+    double sstable_target_bytes = 0.0;  ///< leveled only; 0 for size-tiered
+    double bloom_fp_chance = 0.0;
+    std::uint32_t value_bytes = 0;
+    double version_dup = 0.0;
+    bool operator==(const Spec&) const = default;
+  };
+
+  std::vector<SSTable> tables;  ///< in load order, ids 1 .. next_id - 1
+  std::uint32_t next_id = 1;
+};
+
 class Server {
  public:
   explicit Server(Config config, Hardware hardware = {}, CostModel costs = {});
@@ -90,8 +110,21 @@ class Server {
   /// read-amplification the paper attributes to STCS, Section 2.2.2);
   /// leveled compaction continuously folds versions in, so only a quarter of
   /// them survive, parked in a recent L0 run. Must precede run()/step().
+  /// Same as load(build_tables(table_spec(...), keys)).
   void preload(std::span<const std::int64_t> keys, std::uint32_t value_bytes,
                double version_dup = 0.65);
+
+  /// What preload's tables depend on under `config` and `hardware`.
+  static TableSet::Spec table_spec(const Config& config, const Hardware& hardware,
+                                   std::uint32_t value_bytes, double version_dup);
+  /// Builds the tables preload installs for `keys`.
+  static TableSet build_tables(const TableSet::Spec& spec,
+                               std::span<const std::int64_t> keys);
+  /// Installs a built table set exactly as preload does: the same table ids
+  /// and order, the same OS page-cache warming, the same counters. The
+  /// server shares the set's runs. Throws std::logic_error unless the store
+  /// is empty and has never flushed. Must precede run()/step().
+  void load(const TableSet& set);
 
   /// Runs a full measurement: draws opts.ops operations from the generator.
   RunStats run(workload::Generator& generator, const RunOptions& opts);
@@ -166,7 +199,8 @@ class Server {
   double flush_threshold_bytes() const;
   double memtable_space_bytes() const;
   const SSTable* find_table(std::uint32_t id) const;
-  std::vector<const SSTable*> read_candidates(std::int64_t key) const;
+  /// Fills candidates_ with the tables whose key range covers `key`.
+  void read_candidates(std::int64_t key);
   void rebuild_level_index();
   void record_window(double t_us, std::size_t ops_done);
 
@@ -193,6 +227,8 @@ class Server {
   /// Per-level table ids ordered by min key; rebuilt lazily (leveled mode).
   std::vector<std::vector<std::uint32_t>> level_index_;
   bool level_index_dirty_ = true;
+  /// read_candidates' output, reused across reads.
+  std::vector<const SSTable*> candidates_;
 
   // Caches.
   LruCache<std::int64_t> row_cache_;

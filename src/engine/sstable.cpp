@@ -7,33 +7,42 @@ namespace rafiki::engine {
 
 SSTable::SSTable(std::uint32_t id, std::vector<std::int64_t> keys, double avg_row_bytes,
                  double bloom_fp_chance, int level, std::vector<std::int64_t> tombstones)
-    : id_(id), level_(level), keys_(std::move(keys)), tombstones_(std::move(tombstones)),
-      avg_row_bytes_(avg_row_bytes) {
-  std::sort(keys_.begin(), keys_.end());
-  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
-  std::sort(tombstones_.begin(), tombstones_.end());
-  tombstones_.erase(std::unique(tombstones_.begin(), tombstones_.end()),
-                    tombstones_.end());
+    : id_(id), level_(level), avg_row_bytes_(avg_row_bytes) {
+  auto run = std::make_shared<Run>();
+  run->keys = std::move(keys);
+  run->tombstones = std::move(tombstones);
+  auto& run_keys = run->keys;
+  auto& run_tombstones = run->tombstones;
+  std::sort(run_keys.begin(), run_keys.end());
+  run_keys.erase(std::unique(run_keys.begin(), run_keys.end()), run_keys.end());
+  std::sort(run_tombstones.begin(), run_tombstones.end());
+  run_tombstones.erase(std::unique(run_tombstones.begin(), run_tombstones.end()),
+                       run_tombstones.end());
   // Tombstones are rows of this table too: ensure they are in the key run.
-  for (auto t : tombstones_) {
-    if (!std::binary_search(keys_.begin(), keys_.end(), t)) {
-      keys_.insert(std::lower_bound(keys_.begin(), keys_.end(), t), t);
+  for (auto t : run_tombstones) {
+    if (!std::binary_search(run_keys.begin(), run_keys.end(), t)) {
+      run_keys.insert(std::lower_bound(run_keys.begin(), run_keys.end(), t), t);
     }
   }
-  bloom_ = BloomFilter::build(keys_, bloom_fp_chance);
+  run->bloom = BloomFilter::build(run_keys, bloom_fp_chance);
+  if (!run_keys.empty()) {
+    min_key_ = run_keys.front();
+    max_key_ = run_keys.back();
+  }
+  run_ = std::move(run);
 }
 
 bool SSTable::has_key(std::int64_t key) const noexcept {
-  return std::binary_search(keys_.begin(), keys_.end(), key);
+  return std::binary_search(run_->keys.begin(), run_->keys.end(), key);
 }
 
 bool SSTable::is_tombstone(std::int64_t key) const noexcept {
-  return std::binary_search(tombstones_.begin(), tombstones_.end(), key);
+  return std::binary_search(run_->tombstones.begin(), run_->tombstones.end(), key);
 }
 
 std::size_t SSTable::key_rank(std::int64_t key) const noexcept {
   return static_cast<std::size_t>(
-      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+      std::lower_bound(run_->keys.begin(), run_->keys.end(), key) - run_->keys.begin());
 }
 
 SSTable SSTable::merge(std::uint32_t new_id, std::span<const SSTable* const> inputs,

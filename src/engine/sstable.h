@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,6 +18,11 @@
 
 namespace rafiki::engine {
 
+/// A table is a small header (id, level, average row size, key range) over
+/// an immutable run: the sorted keys, the tombstones and the Bloom filter.
+/// Tables never change after construction and a merge builds a new run, so
+/// copies share the run: copying a table costs a reference count, and one
+/// preloaded table set can back any number of servers at once.
 class SSTable {
  public:
   /// Builds a table from (not necessarily sorted) keys; entries also listed
@@ -27,43 +33,44 @@ class SSTable {
 
   std::uint32_t id() const noexcept { return id_; }
   int level() const noexcept { return level_; }
-  void set_level(int level) noexcept { level_ = level; }
 
-  std::size_t key_count() const noexcept { return keys_.size(); }
-  std::size_t tombstone_count() const noexcept { return tombstones_.size(); }
+  std::size_t key_count() const noexcept { return run_->keys.size(); }
+  std::size_t tombstone_count() const noexcept { return run_->tombstones.size(); }
   /// On-disk footprint: data rows at the average row size, tombstones at
   /// marker size.
   double bytes() const noexcept {
-    return avg_row_bytes_ * static_cast<double>(keys_.size() - tombstones_.size()) +
-           kTombstoneBytes * static_cast<double>(tombstones_.size());
+    return avg_row_bytes_ * static_cast<double>(key_count() - tombstone_count()) +
+           kTombstoneBytes * static_cast<double>(tombstone_count());
   }
   double avg_row_bytes() const noexcept { return avg_row_bytes_; }
 
-  std::int64_t min_key() const noexcept { return keys_.empty() ? 0 : keys_.front(); }
-  std::int64_t max_key() const noexcept { return keys_.empty() ? -1 : keys_.back(); }
+  /// Key range; an empty table has min 0 and max -1, so it covers no key.
+  std::int64_t min_key() const noexcept { return min_key_; }
+  std::int64_t max_key() const noexcept { return max_key_; }
 
   bool range_covers(std::int64_t key) const noexcept {
-    return !keys_.empty() && key >= keys_.front() && key <= keys_.back();
+    return key >= min_key_ && key <= max_key_;
   }
   bool overlaps(const SSTable& other) const noexcept {
-    return !keys_.empty() && !other.keys_.empty() && min_key() <= other.max_key() &&
+    return key_count() != 0 && other.key_count() != 0 && min_key() <= other.max_key() &&
            other.min_key() <= max_key();
   }
 
   /// Bloom-filter check — may return false positives, never false negatives.
   bool maybe_contains(std::int64_t key) const noexcept {
-    return bloom_.maybe_contains(key);
+    return run_->bloom.maybe_contains(key);
   }
   /// Exact membership via binary search (the "index probe" of the read path).
   bool has_key(std::int64_t key) const noexcept;
   /// True if this table's version of the key is a deletion marker.
   bool is_tombstone(std::int64_t key) const noexcept;
-  /// Rank of the key within the table, used to derive the chunk (page) index
-  /// a read touches. Meaningful only when has_key/range_covers holds.
+  /// Position of the first key not below `key` (its lower bound). When the
+  /// key is present this is its rank, from which the read path derives the
+  /// chunk (page) the read touches: one binary search answers both.
   std::size_t key_rank(std::int64_t key) const noexcept;
 
-  std::span<const std::int64_t> keys() const noexcept { return keys_; }
-  std::span<const std::int64_t> tombstones() const noexcept { return tombstones_; }
+  std::span<const std::int64_t> keys() const noexcept { return run_->keys; }
+  std::span<const std::int64_t> tombstones() const noexcept { return run_->tombstones; }
 
   /// Merges several tables into one deduplicated run (compaction): the
   /// version from the newest input (highest table id) wins per key. With
@@ -85,12 +92,21 @@ class SSTable {
   static constexpr double kTombstoneBytes = 48.0;
 
  private:
+  /// The immutable part every copy of the table shares.
+  struct Run {
+    std::vector<std::int64_t> keys;        // sorted, unique (markers included)
+    std::vector<std::int64_t> tombstones;  // sorted subset of keys
+    BloomFilter bloom;
+  };
+
   std::uint32_t id_;
   int level_;
-  std::vector<std::int64_t> keys_;        // sorted, unique (markers included)
-  std::vector<std::int64_t> tombstones_;  // sorted subset of keys_
   double avg_row_bytes_;
-  BloomFilter bloom_;
+  // The run's key range, kept beside the header: the read path tests it on
+  // every candidate table before touching the run.
+  std::int64_t min_key_ = 0;
+  std::int64_t max_key_ = -1;
+  std::shared_ptr<const Run> run_;
 };
 
 }  // namespace rafiki::engine

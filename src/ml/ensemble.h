@@ -23,12 +23,6 @@ struct EnsembleOptions {
   std::vector<std::size_t> hidden = {14, 4};
   TrainOptions train;
   std::uint64_t seed = 1234;
-  /// Worker threads for member training: 0 = one per hardware thread, 1 =
-  /// strictly serial. The paper's members train from independent initial
-  /// weights, so they parallelize embarrassingly; per-net RNGs are pre-split
-  /// in serial seed order, which keeps the trained weights bit-identical at
-  /// any thread count (asserted in determinism_test).
-  std::size_t train_threads = 0;
 };
 
 /// Copies are cheap and share one model: the fitted state (normalizers,
@@ -40,9 +34,13 @@ class SurrogateEnsemble {
  public:
   /// Fits the ensemble on raw (unnormalized) feature rows and targets;
   /// normalization to [-1, 1] is handled internally and reused at predict
-  /// time, mirroring mapminmax + trainbr.
+  /// time, mirroring mapminmax + trainbr. The paper's members train from
+  /// independent initial weights, so they train on up to `threads` threads
+  /// (util::parallel_for: 0 = one per CPU, 1 = serial); per-net RNGs are
+  /// pre-split in serial seed order, which keeps the weights bit-identical
+  /// at any thread count (asserted in determinism_test).
   void fit(const std::vector<std::vector<double>>& X, std::span<const double> y,
-           const EnsembleOptions& options = {});
+           const EnsembleOptions& options = {}, std::size_t threads = 0);
 
   /// Predicted target for one raw feature row (averaged over active nets).
   double predict(std::span<const double> x) const;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/histogram.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -188,6 +193,59 @@ TEST(Table, FormattersBehave) {
   EXPECT_EQ(Table::pct(41.4), "41.4%");
   EXPECT_EQ(Table::ops(-1234567), "-1,234,567");
   EXPECT_EQ(Table::num(3.14159, 3), "3.142");
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  constexpr std::size_t kItems = 5;
+  // Below, equal to and above the item count, and the hardware default.
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                    kItems, std::size_t{8}}) {
+    std::vector<std::atomic<int>> runs(kItems);
+    util::parallel_for(kItems, threads, [&](std::size_t i) {
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(runs[i].load(std::memory_order_relaxed), 1)
+          << "index " << i << " at " << threads << " threads";
+    }
+  }
+  util::parallel_for(0, 4, [](std::size_t) { ADD_FAILURE() << "no items, no calls"; });
+}
+
+TEST(ParallelFor, RethrowsTheExceptionASerialLoopWouldThrow) {
+  // Indices 10 and 40 throw; whatever the schedule, index 10's exception is
+  // the one rethrown, and no index past the first failure starts late.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<std::atomic<int>> runs(64);
+    try {
+      util::parallel_for(runs.size(), threads, [&](std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+        if (i == 10 || i == 40) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "10") << threads << " threads";
+    }
+    for (std::size_t i = 0; i <= 10; ++i) {
+      EXPECT_EQ(runs[i].load(std::memory_order_relaxed), 1) << "index " << i;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(runs[11].load(std::memory_order_relaxed), 0) << "serial loop ran past the throw";
+    }
+  }
+}
+
+thread_local bool t_on_calling_thread = false;
+
+TEST(ParallelFor, OneThreadRunsInlineInOrder) {
+  t_on_calling_thread = true;
+  std::vector<std::size_t> order;
+  util::parallel_for(6, 1, [&](std::size_t i) {
+    EXPECT_TRUE(t_on_calling_thread);
+    order.push_back(i);
+  });
+  t_on_calling_thread = false;
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ Rules (ids used in findings and det:ok() suppressions):
 
 Concurrency-contract rules (same suppression syntax):
   memory-order    atomic load/store/RMW without an explicit std::memory_order
-                  argument under src/serve/, src/net/, src/tenant/ or
-                  src/tune/ — the bare seq_cst
+                  argument under src/serve/, src/net/, src/tenant/,
+                  src/tune/, src/util/ or src/collect/ — the bare seq_cst
                   default hides the intended ordering from reviewers and from
                   the registry/stats visibility audits. Named constexpr
                   aliases (kRelaxed, kAcquire, ...) count as explicit.
@@ -137,10 +137,12 @@ def fp_contract_off_sources(cmake: Path) -> set[str]:
 # Member calls on std::atomic that take an optional std::memory_order. Bare
 # calls default to seq_cst, which both over-synchronizes and — worse — hides
 # whether the author *thought* about the required ordering. Scoped to the
-# concurrent serving stack plus the online tuning layer (whose screen state
-# is shared with request threads); the offline math code has no atomics to
-# audit.
-MEMORY_ORDER_PREFIXES = ("src/serve/", "src/net/", "src/tenant/", "src/tune/")
+# concurrent serving stack, the online tuning layer (whose screen state is
+# shared with request threads), and the offline pipeline's fork-join layer:
+# util::parallel_for and the collect plan executor that runs on it. The
+# offline math code has no atomics to audit.
+MEMORY_ORDER_PREFIXES = ("src/serve/", "src/net/", "src/tenant/", "src/tune/",
+                         "src/util/", "src/collect/")
 ATOMIC_CALL_RE = re.compile(
     r"(?:\.|->)\s*(?P<op>load|store|exchange|fetch_add|fetch_sub|fetch_and|"
     r"fetch_or|fetch_xor|compare_exchange_weak|compare_exchange_strong)\s*\("
@@ -452,6 +454,30 @@ struct Waker {
 };
 """
 
+SELFTEST_UTIL_BAD = """\
+#include <atomic>
+// Mirrors util::parallel_for: the index counter and the stop flag are the
+// fork-join loop's only atomics, and their orderings must be spelled out.
+void worker(std::atomic<unsigned long>& next, std::atomic<bool>& failed, unsigned long n) {
+  while (!failed.load()) {                // bare seq_cst load
+    const unsigned long i = next.fetch_add(1);  // bare seq_cst RMW
+    if (i >= n) return;
+    failed.store(true);                   // bare seq_cst store
+  }
+}
+"""
+
+SELFTEST_UTIL_CLEAN = """\
+#include <atomic>
+void worker(std::atomic<unsigned long>& next, std::atomic<bool>& failed, unsigned long n) {
+  while (!failed.load(std::memory_order_relaxed)) {
+    const unsigned long i = next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) return;
+    failed.store(true, std::memory_order_relaxed);
+  }
+}
+"""
+
 SELFTEST_SIMD = """\
 #include <cstddef>
 __attribute__((target("avx512f")))
@@ -494,6 +520,12 @@ def selftest() -> int:
         # src/tune/ is memory-order scoped too: the same bare atomics must
         # fire there (fixture shares the serve snippet).
         (root / "src" / "tune" / "screen.cpp").write_text(SELFTEST_SERVE_BAD)
+        # src/util/ and src/collect/ are memory-order scoped: the fork-join
+        # loop's bare index counter and stop flag must fire in both.
+        (root / "src" / "util").mkdir(parents=True)
+        (root / "src" / "collect").mkdir(parents=True)
+        (root / "src" / "util" / "parallel.cpp").write_text(SELFTEST_UTIL_BAD)
+        (root / "src" / "collect" / "runner.cpp").write_text(SELFTEST_UTIL_BAD)
         # The identical atomic calls outside src/serve+src/net must not fire;
         # NO_THREAD_SAFETY_ANALYSIS is checked everywhere (one more expected).
         (root / "src" / "outside.cpp").write_text(SELFTEST_SERVE_BAD)
@@ -518,9 +550,11 @@ def selftest() -> int:
                 print(f"selftest FAILED: {rule} fired outside {prefixes}")
                 return 1
         # load, store, multi-line fetch_add, CAS in the serve/tune fixtures;
-        # exchange, store, load in the waker fixture.
+        # exchange, store, load in the waker fixture; load, fetch_add, store
+        # in the fork-join fixture.
         for scoped, want in (("src/serve/hot.cpp", 4), ("src/tune/screen.cpp", 4),
-                             ("src/net/waker.cpp", 3)):
+                             ("src/net/waker.cpp", 3), ("src/util/parallel.cpp", 3),
+                             ("src/collect/runner.cpp", 3)):
             bare = [f for f in bad_findings
                     if f[2] == "memory-order" and f[0].as_posix() == scoped]
             if len(bare) != want:
@@ -532,6 +566,8 @@ def selftest() -> int:
         (root / "src" / "net" / "waker.cpp").write_text(SELFTEST_NET_WAKER_CLEAN)
         (root / "src" / "serve" / "hot.cpp").write_text(SELFTEST_SERVE_CLEAN)
         (root / "src" / "tune" / "screen.cpp").write_text(SELFTEST_SERVE_CLEAN)
+        (root / "src" / "util" / "parallel.cpp").write_text(SELFTEST_UTIL_CLEAN)
+        (root / "src" / "collect" / "runner.cpp").write_text(SELFTEST_UTIL_CLEAN)
         (root / "src" / "outside.cpp").unlink()
         (root / "src" / "simd" / "CMakeLists.txt").write_text(SELFTEST_SIMD_CMAKE_CLEAN)
         clean_findings = scan_tree(root)

@@ -19,16 +19,12 @@
 //
 //   C. Connection scaling — the million-user question in miniature: a fixed
 //      request volume is spread over {64, 256, 1024} pipelined connections
-//      (>= 64 tenants round-robin) and replayed against BOTH io backends.
-//      Per point: QPS, client p99, and the wire flush counters — flushes,
-//      flush syscalls, frames per flush, and flush syscalls per frame (the
-//      hardware-independent cost metric). Gates: zero transport failures /
-//      lost frames / decode errors at every point including 1024
-//      connections on both backends (always on); edge-triggered epoll
-//      spends measurably fewer flush syscalls per frame than the poll()
-//      fallback at the largest sweep point (counter-based, always on when
-//      both backends run); QPS at 1024 connections holds >= 0.9x the
-//      256-connection figure per backend (perf gate: skipped under
+//      (>= 64 tenants round-robin). Per point: QPS, client p99, and the wire
+//      flush counters — flushes, flush syscalls, frames per flush, and flush
+//      syscalls per frame (the hardware-independent cost metric). Gates:
+//      zero transport failures / lost frames / decode errors at every point
+//      including 1024 connections (always on); QPS at 1024 connections holds
+//      >= 0.9x the 256-connection figure (perf gate: skipped under
 //      sanitizers / < 8 hardware threads).
 //
 //   B. Noisy-tenant isolation — tenant 1 ("noisy") floods deep pipelines
@@ -46,9 +42,7 @@
 //
 // Results go to stdout (ASCII tables) and BENCH_fleet.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--tenants N` /
-// `--shards N` resize the phase-A fleet; `--io-backend poll|epoll` pins the
-// event loop for every phase (phase C then sweeps only that backend and the
-// cross-backend syscall gate is skipped).
+// `--shards N` resize the phase-A fleet.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -91,9 +85,8 @@ struct ReplayResult {
   std::uint64_t probe_not_ready = 0;
 };
 
-/// One (backend, connection count) point of the phase-C sweep.
+/// One connection-count point of the phase-C sweep.
 struct ScalePoint {
-  net::IoBackend backend = net::IoBackend::kPoll;
   std::size_t connections = 0;
   std::size_t tenants = 0;
   double qps = 0.0;
@@ -210,8 +203,8 @@ void replay_trace(std::uint16_t port, serve::TenantId tenant, std::size_t calls,
   }
 }
 
-ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
-                          std::size_t tenants, std::size_t shards,
+ReplayResult fleet_replay(const core::Rafiki& rafiki, std::size_t tenants,
+                          std::size_t shards,
                           std::size_t clients_per_tenant,
                           std::size_t calls_per_trace, std::size_t pipeline,
                           std::size_t window_every) {
@@ -226,7 +219,6 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
   fleet.start();
 
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.io_threads = 2;
   server_options.max_pipeline = pipeline + 1;  // the bench never self-throttles
   net::Server server(fleet, server_options);
@@ -304,15 +296,14 @@ ReplayResult fleet_replay(const core::Rafiki& rafiki, net::IoBackend backend,
 }
 
 /// One phase-C point: `connections` pipelined clients (tenant = index mod
-/// `tenants`) replay a fixed total request volume against one io backend.
+/// `tenants`) replay a fixed total request volume.
 /// A small pool of driver threads owns the connections; each round a driver
 /// bursts `pipeline` Predicts down every one of its connections before
 /// collecting any responses, so the server sees hundreds of connections with
 /// frames in flight at once — the regime write coalescing is built for.
 ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
-                              std::size_t shards, net::IoBackend backend,
-                              std::size_t connections, std::size_t calls_per_conn,
-                              std::size_t pipeline) {
+                              std::size_t shards, std::size_t connections,
+                              std::size_t calls_per_conn, std::size_t pipeline) {
   tenant::FleetOptions fleet_options;
   fleet_options.tenants = tenants;
   fleet_options.shard.shards = shards;
@@ -323,14 +314,12 @@ ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
   fleet.start();
 
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.io_threads = 2;
   server_options.backlog = static_cast<int>(connections);
   server_options.max_connections = connections + 8;
   server_options.max_pipeline = pipeline + 1;
   net::Server server(fleet, server_options);
   ScalePoint point;
-  point.backend = backend;
   point.connections = connections;
   point.tenants = tenants;
   if (!server.start()) {
@@ -443,8 +432,8 @@ ScalePoint connection_scaling(const core::Rafiki& rafiki, std::size_t tenants,
 /// below one worker's capacity and the victim's tail is genuinely shielded).
 /// Topology (shards, workers, io threads, quotas) is identical with and
 /// without noise so the two p99s are comparable.
-VictimRun victim_run(const core::Rafiki& rafiki, net::IoBackend backend,
-                     std::size_t shards, std::size_t victim_calls,
+VictimRun victim_run(const core::Rafiki& rafiki, std::size_t shards,
+                     std::size_t victim_calls,
                      bool with_noisy, std::size_t noisy_pipeline,
                      std::size_t noisy_cap) {
   tenant::FleetOptions fleet_options;
@@ -466,7 +455,6 @@ VictimRun victim_run(const core::Rafiki& rafiki, net::IoBackend backend,
   fleet.start();
 
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   // One IO thread per connection (victim + 2 noisy): the cap under test is
   // the fleet's admission quota, not transport-thread contention.
   server_options.io_threads = 4;
@@ -646,7 +634,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const auto& sp = scaling[i];
     std::fprintf(out,
-                 "    {\"io_backend\": \"%s\", \"connections\": %zu, "
+                 "    {\"connections\": %zu, "
                  "\"tenants\": %zu, \"qps\": %.1f, \"client_p99_us\": %.1f, "
                  "\"ok\": %llu, \"transport_failures\": %llu, "
                  "\"decode_errors\": %llu, \"frames_in\": %llu, "
@@ -654,7 +642,7 @@ void write_json(const std::string& path, const ReplayResult& replay,
                  "\"flush_syscalls\": %llu, \"flushed_frames\": %llu, "
                  "\"flush_eagain\": %llu, \"frames_per_flush\": %.2f, "
                  "\"flush_syscalls_per_frame\": %.4f}%s\n",
-                 net::io_backend_name(sp.backend), sp.connections, sp.tenants,
+                 sp.connections, sp.tenants,
                  sp.qps, sp.client_p99_us,
                  static_cast<unsigned long long>(sp.ok),
                  static_cast<unsigned long long>(sp.transport_failures),
@@ -680,8 +668,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_fleet.json";
   std::size_t tenants = 8;
   std::size_t shards = 2;
-  bool backend_pinned = false;
-  net::IoBackend pinned_backend = net::default_io_backend();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
@@ -693,21 +679,8 @@ int main(int argc, char** argv) {
       shards = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (shards == 0) shards = 1;
     }
-    if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      if (!net::parse_io_backend(argv[++i], pinned_backend) ||
-          !net::io_backend_available(pinned_backend)) {
-        std::fprintf(stderr,
-                     "fleet_load: unknown or unavailable io backend '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      backend_pinned = true;
-    }
   }
   if (smoke && tenants > 4) tenants = 4;
-  const net::IoBackend backend = pinned_backend;
-  benchutil::note(std::string("io backend: ") + net::io_backend_name(backend) +
-                  (backend_pinned ? " (pinned)" : " (platform default)"));
 
   core::RafikiOptions options;
   options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
@@ -725,7 +698,7 @@ int main(int argc, char** argv) {
   // Phase A: regime-switching fleet replay through the wire.
   const std::size_t clients_per_tenant = smoke ? 2 : 3;
   const std::size_t calls_per_trace = smoke ? 48 : 240;
-  const auto replay = fleet_replay(rafiki, backend, tenants, shards,
+  const auto replay = fleet_replay(rafiki, tenants, shards,
                                    clients_per_tenant, calls_per_trace,
                                    /*pipeline=*/8, /*window_every=*/16);
   Table replay_table({"metric", "value"});
@@ -757,10 +730,10 @@ int main(int argc, char** argv) {
   // Phase B: noisy-tenant isolation behind the per-tenant in-flight cap.
   const std::size_t victim_calls = smoke ? 300 : 1000;
   IsolationResult isolation;
-  isolation.solo = victim_run(rafiki, backend, shards, victim_calls,
+  isolation.solo = victim_run(rafiki, shards, victim_calls,
                               /*with_noisy=*/false, /*noisy_pipeline=*/32,
                               /*noisy_cap=*/4);
-  isolation.contended = victim_run(rafiki, backend, shards, victim_calls,
+  isolation.contended = victim_run(rafiki, shards, victim_calls,
                                    /*with_noisy=*/true, /*noisy_pipeline=*/32,
                                    /*noisy_cap=*/4);
   isolation.p99_ratio = isolation.solo.p99_us > 0.0
@@ -796,9 +769,9 @@ int main(int argc, char** argv) {
   benchutil::compare("contended victim p99 vs solo", "<= 2x",
                      Table::num(isolation.p99_ratio, 2) + "x");
 
-  // Phase C: connection scaling across io backends. The full run spreads the
-  // fleet across >= 64 tenants and sweeps {64, 256, 1024} connections; smoke
-  // keeps the same shape at toy sizes.
+  // Phase C: connection scaling. The full run spreads the fleet across >= 64
+  // tenants and sweeps {64, 256, 1024} connections; smoke keeps the same
+  // shape at toy sizes.
   const std::size_t scale_tenants =
       smoke ? tenants : std::max<std::size_t>(tenants, 64);
   const std::vector<std::size_t> connection_sweep =
@@ -806,26 +779,17 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{64, 256, 1024};
   const std::size_t scale_calls = smoke ? 8 : 24;
   const std::size_t scale_pipeline = smoke ? 4 : 8;
-  const std::vector<net::IoBackend> backends =
-      backend_pinned ? std::vector<net::IoBackend>{backend}
-                     : net::available_io_backends();
   std::vector<ScalePoint> scaling;
-  for (const auto sweep_backend : backends) {
-    for (const auto connections : connection_sweep) {
-      benchutil::note(std::string("connection scaling: ") +
-                      net::io_backend_name(sweep_backend) + " x " +
-                      std::to_string(connections) + " connections...");
-      scaling.push_back(connection_scaling(rafiki, scale_tenants, shards,
-                                           sweep_backend, connections,
-                                           scale_calls, scale_pipeline));
-    }
+  for (const auto connections : connection_sweep) {
+    benchutil::note("connection scaling: " + std::to_string(connections) +
+                    " connections...");
+    scaling.push_back(connection_scaling(rafiki, scale_tenants, shards, connections,
+                                         scale_calls, scale_pipeline));
   }
-  Table scale_table({"backend", "connections", "QPS", "client p99 us",
-                     "frames/flush", "syscalls/frame", "EAGAIN", "failed",
-                     "decode errors"});
+  Table scale_table({"connections", "QPS", "client p99 us", "frames/flush",
+                     "syscalls/frame", "EAGAIN", "failed", "decode errors"});
   for (const auto& sp : scaling) {
-    scale_table.add_row({net::io_backend_name(sp.backend),
-                         std::to_string(sp.connections), Table::ops(sp.qps),
+    scale_table.add_row({std::to_string(sp.connections), Table::ops(sp.qps),
                          Table::num(sp.client_p99_us, 1),
                          Table::num(sp.frames_per_flush, 2),
                          Table::num(sp.syscalls_per_frame, 4),
@@ -857,23 +821,15 @@ int main(int argc, char** argv) {
   const bool ratio_gate = kPerfGate && benchutil::hw_threads() >= 8;
 
   // The 1024-vs-256 QPS ratio needs real parallelism for the same reason the
-  // isolation ratio does; the syscall-per-frame comparison is counter-based
-  // and hardware-independent, but needs both backends in the sweep.
+  // isolation ratio does.
   const bool scaling_qps_gate = kPerfGate &&
                                 benchutil::hw_threads() >= 8 &&
                                 !smoke;
-  // Smoke volumes are too small for the batch-shape difference to clear the
-  // margin reliably (a handful of rounds, pipeline 4); the full run is the
-  // gate of record.
-  const bool scaling_syscall_gate = backends.size() >= 2 && !smoke;
 
   std::vector<std::string> gates_skipped;
   if (!kPerfGate) gates_skipped.push_back("perf");
   if (!ratio_gate) gates_skipped.push_back("isolation_p99_ratio");
   if (!scaling_qps_gate) gates_skipped.push_back("connection_scaling_qps_ratio");
-  if (!scaling_syscall_gate) {
-    gates_skipped.push_back("connection_scaling_backend_syscalls");
-  }
   write_json(out_path, replay, isolation, scaling, smoke, gates_skipped);
 
   // Phase A structural gates (always on, sanitizers included).
@@ -903,9 +859,9 @@ int main(int argc, char** argv) {
                          isolation.contended.fleet.quota_rejected ==
                      isolation.contended.noisy_overloaded;
   if (ratio_gate) pass = pass && isolation.p99_ratio <= 2.0;
-  // Phase C structural gates: every point — including 1024 connections on
-  // both backends — moved its full request volume with zero transport
-  // failures, zero lost frames, zero decode errors, balanced accounting.
+  // Phase C structural gates: every point — including 1024 connections —
+  // moved its full request volume with zero transport failures, zero lost
+  // frames, zero decode errors, balanced accounting.
   for (const auto& sp : scaling) {
     const std::uint64_t expected =
         static_cast<std::uint64_t>(sp.connections) * scale_calls;
@@ -913,39 +869,10 @@ int main(int argc, char** argv) {
     pass = pass && sp.ok == expected && sp.frames_in == sp.frames_out;
     pass = pass && sp.frames_in >= expected;
   }
-  // Cross-backend flush-cost gate (counter-based, hardware-independent): at
-  // the largest sweep point, edge-triggered epoll must spend measurably
-  // fewer flush syscalls per frame than the poll() fallback — the absorb
-  // rounds exist precisely to merge completions that poll's slower passes
-  // pay one syscall each for.
-  if (scaling_syscall_gate) {
-    const std::size_t largest = connection_sweep.back();
-    double poll_cost = 0.0;
-    double epoll_cost = 0.0;
-    for (const auto& sp : scaling) {
-      if (sp.connections != largest) continue;
-      if (sp.backend == net::IoBackend::kPoll) poll_cost = sp.syscalls_per_frame;
-      if (sp.backend == net::IoBackend::kEpoll) epoll_cost = sp.syscalls_per_frame;
-    }
-    benchutil::compare(
-        "epoll flush syscalls per frame vs poll (largest sweep)",
-        "<= 0.9x", Table::num(poll_cost > 0.0 ? epoll_cost / poll_cost : 0.0, 3) + "x");
-    pass = pass && poll_cost > 0.0 && epoll_cost > 0.0 &&
-           epoll_cost <= 0.9 * poll_cost;
-  }
-  if (scaling_qps_gate && connection_sweep.size() >= 2) {
-    const std::size_t largest = connection_sweep.back();
-    const std::size_t mid = connection_sweep[connection_sweep.size() - 2];
-    for (const auto backend_under_test : backends) {
-      double qps_mid = 0.0;
-      double qps_large = 0.0;
-      for (const auto& sp : scaling) {
-        if (sp.backend != backend_under_test) continue;
-        if (sp.connections == mid) qps_mid = sp.qps;
-        if (sp.connections == largest) qps_large = sp.qps;
-      }
-      pass = pass && qps_mid > 0.0 && qps_large >= 0.9 * qps_mid;
-    }
+  if (scaling_qps_gate && scaling.size() >= 2) {
+    const double qps_mid = scaling[scaling.size() - 2].qps;
+    const double qps_large = scaling.back().qps;
+    pass = pass && qps_mid > 0.0 && qps_large >= 0.9 * qps_mid;
   }
   std::printf("\nfleet_load: %s%s\n", pass ? "PASS" : "FAIL",
               ratio_gate ? ""

@@ -20,10 +20,7 @@
 // Results go to stdout (ASCII tables) and BENCH_net.json. `--smoke` keeps
 // everything tiny for CI; `--out <path>` redirects the JSON; `--shards N`
 // runs every phase against an N-shard service (same gates — the wire
-// contract does not depend on the shard count);
-// `--io-backend poll|epoll` pins the server's event loop (default: the
-// platform's preferred backend) so CI can prove the poll() fallback carries
-// the same contract as edge-triggered epoll.
+// contract does not depend on the shard count).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -131,8 +128,8 @@ void client_loop(std::uint16_t port, std::size_t calls, std::size_t pipeline,
 }
 
 WireLoadResult wire_load(const core::Rafiki& rafiki, std::size_t shards,
-                         net::IoBackend backend, std::size_t clients,
-                         std::size_t pipeline, std::size_t calls_per_client) {
+                         std::size_t clients, std::size_t pipeline,
+                         std::size_t calls_per_client) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
@@ -140,7 +137,6 @@ WireLoadResult wire_load(const core::Rafiki& rafiki, std::size_t shards,
   service->publish(serve::make_snapshot(rafiki));
   service->start();
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.io_threads = 2;
   server_options.max_pipeline = pipeline + 1;  // the bench never self-throttles
   net::Server server(*service, server_options);
@@ -190,8 +186,8 @@ WireLoadResult wire_load(const core::Rafiki& rafiki, std::size_t shards,
 }
 
 MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
-                       net::IoBackend backend, std::size_t clients,
-                       std::size_t calls_per_client, std::size_t window_every) {
+                       std::size_t clients, std::size_t calls_per_client,
+                       std::size_t window_every) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
@@ -200,9 +196,7 @@ MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
   service->publish(serve::make_snapshot(rafiki));
   service->attach_tuner(tuner);
   service->start();
-  net::ServerOptions server_options;
-  server_options.io_backend = backend;
-  net::Server server(*service, server_options);
+  net::Server server(*service);
   if (!server.start()) {
     std::fprintf(stderr, "net_load: server start failed: %s\n",
                  server.last_error().c_str());
@@ -254,8 +248,7 @@ MixedResult mixed_load(const core::Rafiki& rafiki, std::size_t shards,
 }
 
 DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
-                             net::IoBackend backend, std::size_t clients,
-                             std::size_t pipeline) {
+                             std::size_t clients, std::size_t pipeline) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_capacity = 4096;
@@ -263,7 +256,6 @@ DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
   service->publish(serve::make_snapshot(rafiki));
   service->start();
   net::ServerOptions server_options;
-  server_options.io_backend = backend;
   server_options.max_pipeline = pipeline + 1;
   net::Server server(*service, server_options);
   if (!server.start()) {
@@ -343,16 +335,15 @@ DrainResult drain_under_fire(const core::Rafiki& rafiki, std::size_t shards,
 
 void write_json(const std::string& path, const std::vector<WireLoadResult>& load,
                 const MixedResult& mixed, const DrainResult& drain, bool smoke,
-                std::size_t shards, net::IoBackend backend) {
+                std::size_t shards) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "net_load: cannot write %s\n", path.c_str());
     return;
   }
   std::fprintf(out,
-               "{\n  \"bench\": \"net_load\",\n  \"smoke\": %s,\n  \"shards\": %zu,\n"
-               "  \"io_backend\": \"%s\",\n",
-               smoke ? "true" : "false", shards, net::io_backend_name(backend));
+               "{\n  \"bench\": \"net_load\",\n  \"smoke\": %s,\n  \"shards\": %zu,\n",
+               smoke ? "true" : "false", shards);
   // Every net_load gate is structural (transport correctness) and runs on
   // any machine, sanitizers included — nothing is ever skipped.
   std::fprintf(out, "  \"hw_threads\": %u,\n  \"gates_skipped\": %s,\n",
@@ -402,7 +393,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_net.json";
   std::size_t shards = 1;
-  net::IoBackend backend = net::default_io_backend();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
@@ -410,16 +400,7 @@ int main(int argc, char** argv) {
       shards = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (shards == 0) shards = 1;
     }
-    if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      if (!net::parse_io_backend(argv[++i], backend) ||
-          !net::io_backend_available(backend)) {
-        std::fprintf(stderr, "net_load: unknown or unavailable io backend '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-    }
   }
-  benchutil::note(std::string("io backend: ") + net::io_backend_name(backend));
 
   core::RafikiOptions options;
   options.workload_grid = smoke ? std::vector<double>{0.2, 0.8}
@@ -439,7 +420,7 @@ int main(int argc, char** argv) {
   std::vector<WireLoadResult> load;
   for (std::size_t clients : {1u, 4u}) {
     for (std::size_t pipeline : {1u, 16u}) {
-      load.push_back(wire_load(rafiki, shards, backend, clients, pipeline, calls));
+      load.push_back(wire_load(rafiki, shards, clients, pipeline, calls));
     }
   }
   Table load_table({"clients", "pipeline", "QPS", "client p50 us", "client p99 us",
@@ -455,8 +436,8 @@ int main(int argc, char** argv) {
   benchutil::emit(load_table, "Phase A: closed-loop wire load (loopback RPC)");
 
   // Phase B: mixed endpoints with regime shifts through the wire.
-  const auto mixed = mixed_load(rafiki, shards, backend, smoke ? 2 : 4,
-                                smoke ? 40 : 200, smoke ? 10 : 25);
+  const auto mixed = mixed_load(rafiki, shards, smoke ? 2 : 4, smoke ? 40 : 200,
+                                smoke ? 10 : 25);
   Table mixed_table({"metric", "value"});
   mixed_table.add_row({"Predict completed", std::to_string(mixed.predicts)});
   mixed_table.add_row({"ObserveWindow completed", std::to_string(mixed.windows)});
@@ -468,8 +449,7 @@ int main(int argc, char** argv) {
                      std::to_string(mixed.failed));
 
   // Phase C: graceful drain with deep pipelines in flight.
-  const auto drain =
-      drain_under_fire(rafiki, shards, backend, smoke ? 2 : 4, smoke ? 16 : 64);
+  const auto drain = drain_under_fire(rafiki, shards, smoke ? 2 : 4, smoke ? 16 : 64);
   Table drain_table({"metric", "value"});
   drain_table.add_row({"frames submitted", std::to_string(drain.submitted)});
   drain_table.add_row({"answered Ok", std::to_string(drain.answered_ok)});
@@ -480,7 +460,7 @@ int main(int argc, char** argv) {
   benchutil::compare("frames lost across a server drain", "0",
                      std::to_string(drain.lost));
 
-  write_json(out_path, load, mixed, drain, smoke, shards, backend);
+  write_json(out_path, load, mixed, drain, smoke, shards);
 
   // Gates: transport correctness always (sanitizers included) — zero decode
   // errors, zero dropped responses, wire accounting balanced.

@@ -5,8 +5,9 @@
 // predictions), the wire being a transparent transport, never a second
 // implementation. Also covered: pipelining across a snapshot republish,
 // typed backpressure (Overloaded / ShuttingDown on the wire), error frames
-// for garbage bytes, a graceful drain that answers every in-flight frame, and
-// an out-of-range read ratio that tunes only a bucket of [0, 1].
+// for garbage bytes (one per fatal stream, however long the peer keeps
+// sending), a graceful drain that answers every in-flight frame, and an
+// out-of-range read ratio that tunes only a bucket of [0, 1].
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -37,10 +38,8 @@ namespace rafiki::net {
 namespace {
 
 // One tiny trained pipeline shared by every test; training dominates the
-// suite's cost and all tests only read from it. The whole suite runs once per
-// available IO backend (epoll and the poll() fallback on Linux) so the drain
-// and pipelining contracts are proven against both event loops.
-class NetE2E : public ::testing::TestWithParam<IoBackend> {
+// suite's cost and all tests only read from it.
+class NetE2E : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     core::RafikiOptions options;
@@ -61,14 +60,6 @@ class NetE2E : public ::testing::TestWithParam<IoBackend> {
   static void TearDownTestSuite() {
     delete rafiki_;
     rafiki_ = nullptr;
-  }
-
-  /// Server options pinned to the backend under test; tests layer their own
-  /// tweaks (io_threads, max_pipeline, ...) on top.
-  ServerOptions server_options() const {
-    ServerOptions options;
-    options.io_backend = GetParam();
-    return options;
   }
 
   static serve::Request predict_request(double read_ratio = 0.3) {
@@ -93,13 +84,13 @@ class NetE2E : public ::testing::TestWithParam<IoBackend> {
 
 core::Rafiki* NetE2E::rafiki_ = nullptr;
 
-TEST_P(NetE2E, PredictParityWithInProcessSubmit) {
+TEST_F(NetE2E, PredictParityWithInProcessSubmit) {
   serve::ServiceOptions options;
   options.workers = 1;
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
   ASSERT_NE(server.port(), 0);
 
@@ -137,7 +128,7 @@ TEST_P(NetE2E, PredictParityWithInProcessSubmit) {
   service.stop();
 }
 
-TEST_P(NetE2E, OptimizeParityWithInProcessSubmit) {
+TEST_F(NetE2E, OptimizeParityWithInProcessSubmit) {
   serve::ServiceOptions options;
   options.workers = 1;
   options.ga.population = 10;
@@ -145,7 +136,7 @@ TEST_P(NetE2E, OptimizeParityWithInProcessSubmit) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   Client client;
@@ -171,7 +162,7 @@ TEST_P(NetE2E, OptimizeParityWithInProcessSubmit) {
   service.stop();
 }
 
-TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
+TEST_F(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   serve::ServiceOptions options;
   options.workers = 1;
   core::OnlineTuner tuner(*rafiki_);
@@ -179,7 +170,7 @@ TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   service.publish(serve::make_snapshot(*rafiki_));
   service.attach_tuner(tuner);
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   Client client;
@@ -217,7 +208,7 @@ TEST_P(NetE2E, ObserveWindowParityThroughRetrainCycle) {
   service.stop();
 }
 
-TEST_P(NetE2E, OutOfRangeReadRatioTunesTheTopBucketOnce) {
+TEST_F(NetE2E, OutOfRangeReadRatioTunesTheTopBucketOnce) {
   // The decoder admits any finite read ratio (in-repo clients send Predicts
   // just above 1.0). An ObserveWindow far outside [0, 1] must still tune a
   // bucket of [0, 1] — here the top one, 10 — with one GA.
@@ -228,7 +219,7 @@ TEST_P(NetE2E, OutOfRangeReadRatioTunesTheTopBucketOnce) {
   service.publish(serve::make_snapshot(*rafiki_));
   service.attach_tuner(tuner);
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   Client client;
@@ -246,7 +237,7 @@ TEST_P(NetE2E, OutOfRangeReadRatioTunesTheTopBucketOnce) {
   service.stop();
 }
 
-TEST_P(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
+TEST_F(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
   constexpr std::uint64_t kPerPhase = 8;
 
   serve::ServiceOptions options;
@@ -255,7 +246,7 @@ TEST_P(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 2;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -303,7 +294,7 @@ TEST_P(NetE2E, PipelinedRequestsSurviveSnapshotRepublishMidStream) {
   service.stop();
 }
 
-TEST_P(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
+TEST_F(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
   constexpr std::uint64_t kInFlight = 16;
 
   serve::ServiceOptions options;
@@ -312,7 +303,7 @@ TEST_P(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
   const auto port = server.port();
 
@@ -364,7 +355,7 @@ TEST_P(NetE2E, GracefulDrainAnswersEveryInFlightFrame) {
 // worst) rather than let the listener close RST it. Regression test: every
 // client below connects and fully sends *before* stop(), so every frame must
 // come back typed, accepted or not.
-TEST_P(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
+TEST_F(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
   constexpr std::size_t kClients = 8;
 
   serve::ServiceOptions options;
@@ -372,7 +363,7 @@ TEST_P(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   std::vector<Client> fleet(kClients);
@@ -397,7 +388,7 @@ TEST_P(NetE2E, DrainAdoptsConnectionsStillInTheAcceptBacklog) {
   service.stop();
 }
 
-TEST_P(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
+TEST_F(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
   serve::ServiceOptions options;
   options.workers = 1;
   serve::TuningService service(options);
@@ -405,7 +396,7 @@ TEST_P(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
   service.start();
   service.stop();  // service is gone; the wire front-end is still up
 
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
   Client client;
   ASSERT_EQ(client.connect("127.0.0.1", server.port()), NetStatus::kOk);
@@ -418,13 +409,13 @@ TEST_P(NetE2E, ServiceShutdownMapsToTypedShuttingDownResponse) {
   server.stop();
 }
 
-TEST_P(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
+TEST_F(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
   serve::ServiceOptions options;
   options.workers = 0;  // nobody drains: the first request parks in flight
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.max_pipeline = 1;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -452,13 +443,13 @@ TEST_P(NetE2E, PipelineLimitMapsToTypedOverloadedResponse) {
   server.stop();
 }
 
-TEST_P(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {
+TEST_F(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {
   serve::ServiceOptions options;
   options.workers = 1;
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  Server server(service, server_options());
+  Server server(service);
   ASSERT_TRUE(server.start()) << server.last_error();
 
   // Raw socket, no protocol: the server must answer with exactly one error
@@ -505,7 +496,96 @@ TEST_P(NetE2E, GarbageBytesGetOneErrorFrameThenClose) {
   service.stop();
 }
 
-TEST_P(NetE2E, ManyClientsAcrossIoThreads) {
+// A fatal stream is answered once, however long the peer keeps sending. With
+// a request in flight the connection cannot close yet; until it can, the
+// server reads and decodes nothing more from it, and it closes as soon as the
+// service answers that request.
+TEST_F(NetE2E, FatalStreamWithARequestInFlightGetsOneErrorFrame) {
+  constexpr std::uint64_t kParkedId = 7;
+
+  serve::ServiceOptions options;
+  options.workers = 0;  // nobody drains: the Predict parks in flight
+  serve::TuningService service(options);
+  service.publish(serve::make_snapshot(*rafiki_));
+  service.start();
+  Server server(service);
+  ASSERT_TRUE(server.start()) << server.last_error();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const auto send_all = [fd](const void* data, std::size_t size) {
+    return ::send(fd, data, size, MSG_NOSIGNAL) == static_cast<ssize_t>(size);
+  };
+
+  std::vector<std::uint8_t> request;
+  encode_request(kParkedId, predict_request(0.3), request);
+  ASSERT_TRUE(send_all(request.data(), request.size()));
+  ASSERT_TRUE(spin_until([&] { return service.stats().wire_counters().frames_in == 1; }));
+
+  const char garbage[] = "this is definitely not a frame header at all....";
+  ASSERT_TRUE(send_all(garbage, sizeof garbage));
+  ASSERT_TRUE(spin_until([&] { return service.stats().wire_counters().decode_errors >= 1; }));
+  // The peer keeps sending; give a server that would decode it again the
+  // chance to answer twice.
+  ASSERT_TRUE(send_all(garbage, sizeof garbage));
+  spin_until([&] { return service.stats().wire_counters().error_frames_sent > 1; }, 100);
+
+  // The service drain answers the parked request (typed ShuttingDown), which
+  // is what lets the connection close. Read until it does, bounded in time
+  // and bytes so a server that never closes fails instead of hanging.
+  service.stop();
+  std::vector<std::uint8_t> received;
+  bool closed = false;
+  std::uint8_t chunk[4096];
+  while (received.size() < (1u << 20)) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) break;
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n > 0) {
+      received.insert(received.end(), chunk, chunk + n);
+      continue;
+    }
+    // The unread garbage left in the server's receive buffer turns its
+    // close into a reset.
+    closed = n == 0 || errno == ECONNRESET;
+    break;
+  }
+  ::close(fd);
+  EXPECT_TRUE(closed);
+
+  std::size_t error_frames = 0;
+  std::size_t responses = 0;
+  std::size_t offset = 0;
+  Frame frame;
+  std::size_t consumed = 0;
+  while (decode_frame(received.data() + offset, received.size() - offset,
+                      kDefaultMaxPayload, frame, consumed) == DecodeStatus::kOk) {
+    offset += consumed;
+    if (frame.type == FrameType::kError) {
+      ++error_frames;
+      EXPECT_EQ(frame.request_id, 0u);
+      EXPECT_EQ(frame.error, WireError::kBadFrame);
+    } else {
+      ++responses;
+      EXPECT_EQ(frame.request_id, kParkedId);
+      EXPECT_EQ(frame.response.status, serve::Status::kShuttingDown);
+    }
+  }
+  EXPECT_EQ(offset, received.size());
+  EXPECT_EQ(error_frames, 1u);
+  EXPECT_EQ(responses, 1u);
+  EXPECT_EQ(service.stats().wire_counters().decode_errors, 1u);
+  EXPECT_EQ(service.stats().wire_counters().error_frames_sent, 1u);
+
+  server.stop();
+}
+
+TEST_F(NetE2E, ManyClientsAcrossIoThreads) {
   constexpr int kClients = 4;
   constexpr int kCallsPerClient = 10;
 
@@ -515,7 +595,7 @@ TEST_P(NetE2E, ManyClientsAcrossIoThreads) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 2;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -559,7 +639,7 @@ TEST_P(NetE2E, ManyClientsAcrossIoThreads) {
 // same IO loop keeps making progress, and when the slow reader finally
 // drains, every frame it managed to send comes back exactly once — partial
 // writes resumed, nothing lost, nothing duplicated.
-TEST_P(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
+TEST_F(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
   constexpr std::uint64_t kRequests = 3000;
 
   serve::ServiceOptions options;
@@ -568,7 +648,7 @@ TEST_P(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 1;  // slow and fast client share one loop on purpose
   opts.max_output_buffer = 1 << 14;
   opts.so_sndbuf = 4096;  // pinned small so partial writes actually happen
@@ -689,11 +769,11 @@ TEST_P(NetE2E, SlowReaderBackpressureBoundsBufferingWithoutStallingOthers) {
   EXPECT_GT(counters.flush_eagain, 0u);
 }
 
-// Satellite: every raw syscall in the server retries (or re-evaluates) on
-// EINTR. A no-SA_RESTART handler plus a process-wide signal storm makes
-// accept/recv/send/poll/epoll_wait fail with EINTR constantly; pipelined load
-// must still come back complete with zero framing damage.
-TEST_P(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
+// Every raw syscall in the server retries (or re-evaluates) on EINTR. A
+// no-SA_RESTART handler plus a process-wide signal storm makes
+// accept/recv/send/poll fail with EINTR constantly; pipelined load must still
+// come back complete with zero framing damage.
+TEST_F(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
   struct sigaction action {};
   action.sa_handler = +[](int) {};
   sigemptyset(&action.sa_mask);
@@ -707,7 +787,7 @@ TEST_P(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
   serve::TuningService service(options);
   service.publish(serve::make_snapshot(*rafiki_));
   service.start();
-  ServerOptions opts = server_options();
+  ServerOptions opts;
   opts.io_threads = 2;
   Server server(service, opts);
   ASSERT_TRUE(server.start()) << server.last_error();
@@ -764,12 +844,6 @@ TEST_P(NetE2E, SignalStormDuringPipelinedLoadDropsNoFrames) {
   server.stop();
   service.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(IoBackends, NetE2E,
-                         ::testing::ValuesIn(available_io_backends()),
-                         [](const ::testing::TestParamInfo<IoBackend>& pinfo) {
-                           return std::string(io_backend_name(pinfo.param));
-                         });
 
 }  // namespace
 }  // namespace rafiki::net
